@@ -10,6 +10,10 @@
 //!    (half-open ranges assign all duplicates to one partition), so the
 //!    hot partition bounds the win. This measures how gracefully the
 //!    speedup degrades, not whether it holds.
+//!
+//! Read-ahead runs on a shared I/O pool with one worker per open source
+//! (`RUNS` per partition), so every range-scoped reader can keep a
+//! request in flight.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +23,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use histok_sort::{
     merge_runs_partitioned, merge_sources_tuned, open_source, MergeTuning, PartitionAttempt,
 };
-use histok_storage::{IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend};
+use histok_storage::{
+    IoScheduler, IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend,
+};
 use histok_types::{Result, Row, SortOrder};
 
 const RUNS: u64 = 4;
@@ -55,12 +61,18 @@ fn write_runs(cat: &RunCatalog<u64>, key: impl Fn(u64, u64) -> u64) {
     }
 }
 
-fn drain_partitioned(cat: &RunCatalog<u64>, threads: usize) -> u64 {
+/// Merge tuning with read-ahead on a pool of one worker per source the
+/// `threads`-way partitioned merge opens.
+fn tuning(threads: usize) -> MergeTuning {
+    MergeTuning { ovc: true, readahead_blocks: 2, ..MergeTuning::default() }
+        .with_io_scheduler(Some(IoScheduler::new(threads * RUNS as usize)))
+}
+
+fn drain_partitioned(cat: &RunCatalog<u64>, threads: usize, tuning: &MergeTuning) -> u64 {
     let runs = cat.runs();
-    let tuning = MergeTuning { ovc: true, readahead_blocks: 2, ..MergeTuning::default() };
     let mut n = 0u64;
     if threads >= 2 {
-        match merge_runs_partitioned(cat, &runs, vec![], threads, None, &tuning).unwrap() {
+        match merge_runs_partitioned(cat, &runs, vec![], threads, None, tuning).unwrap() {
             PartitionAttempt::Partitioned(merge) => {
                 for row in merge {
                     black_box(row.unwrap());
@@ -71,8 +83,8 @@ fn drain_partitioned(cat: &RunCatalog<u64>, threads: usize) -> u64 {
             PartitionAttempt::Serial(_) => {}
         }
     }
-    let sources: Result<Vec<_>> = runs.iter().map(|m| open_source(cat, m, &tuning)).collect();
-    let tree = merge_sources_tuned(sources.unwrap(), SortOrder::Ascending, &tuning).unwrap();
+    let sources: Result<Vec<_>> = runs.iter().map(|m| open_source(cat, m, tuning)).collect();
+    let tree = merge_sources_tuned(sources.unwrap(), SortOrder::Ascending, tuning).unwrap();
     for row in tree {
         black_box(row.unwrap());
         n += 1;
@@ -90,8 +102,9 @@ fn bench_partition_sweep(c: &mut Criterion) {
     g.throughput(Throughput::Elements(total));
     g.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
+        let tuning = tuning(threads);
         g.bench_function(format!("p{threads}"), |b| {
-            b.iter(|| assert_eq!(drain_partitioned(&cat, threads), total))
+            b.iter(|| assert_eq!(drain_partitioned(&cat, threads, &tuning), total))
         });
     }
     g.finish();
@@ -116,8 +129,9 @@ fn bench_partition_skewed(c: &mut Criterion) {
     g.throughput(Throughput::Elements(total));
     g.sample_size(10);
     for threads in [1usize, 4] {
+        let tuning = tuning(threads);
         g.bench_function(format!("p{threads}"), |b| {
-            b.iter(|| assert_eq!(drain_partitioned(&cat, threads), total))
+            b.iter(|| assert_eq!(drain_partitioned(&cat, threads, &tuning), total))
         });
     }
     g.finish();

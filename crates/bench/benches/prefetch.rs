@@ -5,11 +5,14 @@
 //!    disaggregated-storage latency) — with only one source and a trivial
 //!    consumer there is nothing to overlap with, so this is the break-even
 //!    case: prefetch must not be *slower*;
-//!  * the same run over a bare in-memory backend — measures the channel
-//!    and thread overhead prefetch adds when storage is already free;
+//!  * the same run over a bare in-memory backend — measures the job and
+//!    hand-off overhead prefetch adds when storage is already free;
 //!  * a multi-run merge over the throttled backend — the case the layer
-//!    exists for: with read-ahead every source sleeps concurrently, so
-//!    latency divides by the fan-in.
+//!    exists for: with read-ahead on a pool of one worker per source,
+//!    every source sleeps concurrently, so latency divides by the fan-in.
+//!
+//! Prefetching runs as jobs on a shared [`IoScheduler`] pool, the only way
+//! background I/O runs.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,8 +21,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use histok_sort::{merge_sources_tuned, MergeTuning};
 use histok_storage::{
-    IoStats, MemoryBackend, PrefetchingRunReader, RunCatalog, RunMeta, RunReader, RunWriter,
-    StorageBackend, ThrottleModel, ThrottledBackend,
+    IoScheduler, IoStats, MemoryBackend, PrefetchingRunReader, RunCatalog, RunMeta, RunReader,
+    RunWriter, StorageBackend, ThrottleModel, ThrottledBackend,
 };
 use histok_types::{Row, SortOrder};
 
@@ -41,13 +44,12 @@ fn write_run<B: StorageBackend>(
     name: &str,
     keys: impl Iterator<Item = u64>,
 ) -> RunMeta<u64> {
-    let mut w = RunWriter::<u64>::with_options(
+    let mut w = RunWriter::<u64>::with_block_bytes(
         be,
         name,
         SortOrder::Ascending,
         IoStats::new(),
         BLOCK_BYTES,
-        false,
     )
     .unwrap();
     for k in keys {
@@ -66,10 +68,10 @@ fn drain_sync<B: StorageBackend>(be: &B, meta: &RunMeta<u64>) -> u64 {
     n
 }
 
-fn drain_prefetched<B: StorageBackend>(be: &B, meta: &RunMeta<u64>) -> u64 {
+fn drain_prefetched<B: StorageBackend>(be: &B, meta: &RunMeta<u64>, pool: &IoScheduler) -> u64 {
     let reader = RunReader::open(be, meta, IoStats::new()).unwrap();
     let mut n = 0u64;
-    for row in PrefetchingRunReader::spawn(reader, READAHEAD) {
+    for row in PrefetchingRunReader::spawn_scheduled(reader, READAHEAD, pool.handle()) {
         black_box(row.unwrap());
         n += 1;
     }
@@ -78,12 +80,13 @@ fn drain_prefetched<B: StorageBackend>(be: &B, meta: &RunMeta<u64>) -> u64 {
 
 fn bench_read<B: StorageBackend>(c: &mut Criterion, group: &str, be: B) {
     let meta = write_run(&be, "bench", 0..RUN_ROWS);
+    let pool = IoScheduler::new(1);
     let mut g = c.benchmark_group(group);
     g.throughput(Throughput::Elements(RUN_ROWS));
     g.sample_size(10);
     g.bench_function("sync", |b| b.iter(|| assert_eq!(drain_sync(&be, &meta), RUN_ROWS)));
     g.bench_function("prefetched", |b| {
-        b.iter(|| assert_eq!(drain_prefetched(&be, &meta), RUN_ROWS))
+        b.iter(|| assert_eq!(drain_prefetched(&be, &meta, &pool), RUN_ROWS))
     });
     g.finish();
 }
@@ -94,7 +97,7 @@ fn bench_read_throttled(c: &mut Criterion) {
 
 fn bench_read_memory(c: &mut Criterion) {
     // No latency to hide: this measures the overhead of the prefetch
-    // thread and its channel against the plain decode loop.
+    // jobs and their hand-off against the plain decode loop.
     bench_read(c, "prefetch/read_memory", MemoryBackend::new());
 }
 
@@ -118,13 +121,16 @@ fn bench_merge_throttled(c: &mut Criterion) {
         cat.register(w.finish().unwrap()).unwrap();
     }
     let total = RUN_ROWS / MERGE_RUNS * MERGE_RUNS;
+    let pool = IoScheduler::new(MERGE_RUNS as usize);
     let mut g = c.benchmark_group("prefetch/merge_throttled");
     g.throughput(Throughput::Elements(total));
     g.sample_size(10);
     for (label, readahead) in [("sync", 0usize), ("prefetched", READAHEAD)] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                let tuning = MergeTuning::default().with_readahead(readahead);
+                let tuning = MergeTuning::default()
+                    .with_readahead(readahead)
+                    .with_io_scheduler(Some(pool.clone()));
                 let sources = cat
                     .runs()
                     .iter()

@@ -61,13 +61,16 @@ const REQUIRED_SPEEDUP: f64 = 1.3;
 const PARTITION_RUNS: u64 = 4;
 const PARTITION_ROWS_PER_RUN: u64 = 8_000;
 const PARTITION_THREADS: usize = 4;
+/// One read-ahead worker per source the partitioned merge opens
+/// (`PARTITION_THREADS × PARTITION_RUNS`), so every range-scoped reader can
+/// keep a request in flight; the serial side merges on the same pool size.
+const PARTITION_IO_THREADS: usize = PARTITION_THREADS * PARTITION_RUNS as usize;
 const REQUIRED_PARTITION_SPEEDUP: f64 = 1.5;
 const STORM_RUNS: u64 = 512;
 const STORM_ROWS_PER_RUN: u64 = 400;
 const STORM_FAN_IN: usize = 64;
 const STORM_THREADS: usize = 4;
 const STORM_IO_THREADS: usize = 4;
-const STORM_PARITY: f64 = 1.10;
 const CONC_QUERIES: u64 = 64;
 const CONC_ROWS_PER_QUERY: u64 = 3_000;
 const CONC_SMALL_K: u64 = 10;
@@ -237,7 +240,8 @@ impl PartitionRun {
 /// in flight (one prefetch stream per run), while the partitioned merge
 /// keeps `threads ×` that many — range-scoped readers skip straight to
 /// their partition — so the per-request sleeps divide by the partition
-/// count even on a single core.
+/// count even on a single core. Both sides read ahead on a pool of
+/// `PARTITION_IO_THREADS` workers.
 fn partition_case(threads: usize) -> PartitionRun {
     let model =
         ThrottleModel { per_op: Duration::from_micros(150), per_byte: Duration::ZERO, sleep: true };
@@ -264,7 +268,7 @@ fn partition_case(threads: usize) -> PartitionRun {
         ovc: true,
         stats: None,
         readahead_blocks: 2,
-        io_scheduler: None,
+        io_scheduler: Some(IoScheduler::new(PARTITION_IO_THREADS)),
         batch_rows: DEFAULT_BATCH_ROWS,
         fold: None,
     };
@@ -311,8 +315,7 @@ fn partition_case(threads: usize) -> PartitionRun {
 struct StormRun {
     rows: u64,
     wall_ns: u64,
-    /// Peak background-I/O threads alive during the merges (pool workers
-    /// in scheduled mode; pipeline + prefetch threads in legacy mode).
+    /// Peak background-I/O threads (pool workers) alive during the merges.
     peak_io_threads: usize,
     io_wait_ns: u64,
     overlapped_io_ns: u64,
@@ -345,16 +348,16 @@ impl StormRun {
     }
 }
 
-/// The tentpole's gate workload: without a shared pool, the intermediate
-/// merges hold ~65 background threads alive at once (64 prefetch sources
-/// plus the output spill pipeline); with `io_threads = 4` the same merges
-/// must run on 4 pool workers at wall-clock parity, byte-identical.
-/// `io_threads = 0` is the legacy thread-per-source baseline.
-fn spill_storm_case(io_threads: usize) -> StormRun {
+/// The thread-count gate workload: each intermediate merge holds 64
+/// prefetch sources and one output spill pipeline open at once, and with
+/// `io_threads = 4` all of their I/O must run on 4 pool workers. The
+/// synchronous reference (`pooled = false`: no pool, no read-ahead, no
+/// spill pipeline) must produce byte-identical output.
+fn spill_storm_case(pooled: bool) -> StormRun {
     let model =
         ThrottleModel { per_op: Duration::from_micros(2), per_byte: Duration::ZERO, sleep: true };
     let stats = IoStats::new();
-    let scheduler = (io_threads > 0).then(|| IoScheduler::new(io_threads));
+    let scheduler = pooled.then(|| IoScheduler::new(STORM_IO_THREADS));
     let catalog: Arc<RunCatalog<BytesKey>> = Arc::new(
         RunCatalog::new(
             Arc::new(ThrottledBackend::new(MemoryBackend::new(), model)),
@@ -363,6 +366,7 @@ fn spill_storm_case(io_threads: usize) -> StormRun {
             stats.clone(),
         )
         .with_block_bytes(8192)
+        .with_spill_pipeline(pooled)
         .with_io_scheduler(scheduler.clone()),
     );
     // 512 sorted strided runs, written untimed: run r holds keys
@@ -379,7 +383,7 @@ fn spill_storm_case(io_threads: usize) -> StormRun {
     let tuning = MergeTuning {
         ovc: true,
         stats: None,
-        readahead_blocks: 2,
+        readahead_blocks: if pooled { 2 } else { 0 },
         io_scheduler: scheduler.clone(),
         batch_rows: DEFAULT_BATCH_ROWS,
         fold: None,
@@ -1169,35 +1173,32 @@ fn main() {
         ),
     ]));
 
-    // Spill storm: 512 runs merged at fan-in 64, legacy thread-per-source
-    // vs. the shared 4-worker I/O pool. The pool must hold the thread
-    // count at `io_threads` while staying at wall-clock parity with
-    // byte-identical output.
-    let storm_legacy = spill_storm_case(0);
-    let storm_pooled = spill_storm_case(STORM_IO_THREADS);
-    assert_eq!(storm_pooled.rows, storm_legacy.rows, "spill storm changed the row count");
-    assert_eq!(
-        storm_pooled.checksum, storm_legacy.checksum,
-        "spill storm changed the output order"
-    );
-    let storm_ratio = if storm_legacy.wall_ns == 0 {
+    // Spill storm: 512 runs merged at fan-in 64 on the shared 4-worker
+    // I/O pool vs. fully synchronous I/O. The pool must hold the thread
+    // count at `io_threads` with byte-identical output; the wall ratio is
+    // reported, not gated.
+    let storm_sync = spill_storm_case(false);
+    let storm_pooled = spill_storm_case(true);
+    assert_eq!(storm_pooled.rows, storm_sync.rows, "spill storm changed the row count");
+    assert_eq!(storm_pooled.checksum, storm_sync.checksum, "spill storm changed the output order");
+    let storm_ratio = if storm_sync.wall_ns == 0 {
         f64::INFINITY
     } else {
-        storm_pooled.wall_ns as f64 / storm_legacy.wall_ns as f64
+        storm_pooled.wall_ns as f64 / storm_sync.wall_ns as f64
     };
     println!(
         "{:<24} {:>10.0}ms {:>10.0}ms {:>12} {:>12} {:>9.2}x",
         "spill_storm",
         storm_pooled.wall_ns as f64 / 1e6,
-        storm_legacy.wall_ns as f64 / 1e6,
+        storm_sync.wall_ns as f64 / 1e6,
         format!("({}thr)", storm_pooled.peak_io_threads),
-        format!("({}thr)", storm_legacy.peak_io_threads),
+        "(sync)",
         storm_ratio
     );
     rows.push(JsonValue::Obj(vec![
         ("name".to_owned(), JsonValue::from("spill_storm")),
         ("pooled".to_owned(), storm_pooled.to_json()),
-        ("legacy".to_owned(), storm_legacy.to_json()),
+        ("synchronous".to_owned(), storm_sync.to_json()),
         (
             "wall_ratio".to_owned(),
             JsonValue::from(if storm_ratio.is_finite() { storm_ratio } else { f64::MAX }),
@@ -1323,6 +1324,7 @@ fn main() {
                 ("partition_runs".to_owned(), JsonValue::from(PARTITION_RUNS)),
                 ("partition_rows_per_run".to_owned(), JsonValue::from(PARTITION_ROWS_PER_RUN)),
                 ("partition_threads".to_owned(), JsonValue::from(PARTITION_THREADS as u64)),
+                ("partition_io_threads".to_owned(), JsonValue::from(PARTITION_IO_THREADS as u64)),
                 (
                     "required_partition_speedup".to_owned(),
                     JsonValue::from(REQUIRED_PARTITION_SPEEDUP),
@@ -1331,7 +1333,6 @@ fn main() {
                 ("storm_rows_per_run".to_owned(), JsonValue::from(STORM_ROWS_PER_RUN)),
                 ("storm_fan_in".to_owned(), JsonValue::from(STORM_FAN_IN as u64)),
                 ("storm_io_threads".to_owned(), JsonValue::from(STORM_IO_THREADS as u64)),
-                ("storm_parity".to_owned(), JsonValue::from(STORM_PARITY)),
                 ("cascade_runs".to_owned(), JsonValue::from(CASCADE_RUNS)),
                 ("cascade_rows_per_run".to_owned(), JsonValue::from(CASCADE_ROWS_PER_RUN)),
                 ("cascade_fan_in".to_owned(), JsonValue::from(CASCADE_FAN_IN as u64)),
@@ -1417,20 +1418,8 @@ fn main() {
         failed = true;
     } else {
         println!(
-            "OK: spill storm held {} background I/O threads (pool of {}; legacy peaked at {})",
-            storm_pooled.peak_io_threads, STORM_IO_THREADS, storm_legacy.peak_io_threads
-        );
-    }
-    if storm_ratio > STORM_PARITY {
-        eprintln!(
-            "FAIL: spill storm on the shared pool ran {storm_ratio:.2}x the legacy wall \
-             (parity bound {STORM_PARITY}x)"
-        );
-        failed = true;
-    } else {
-        println!(
-            "OK: spill storm on the shared pool ran {storm_ratio:.2}x the legacy wall \
-             (parity bound {STORM_PARITY}x)"
+            "OK: spill storm held {} background I/O threads (pool of {})",
+            storm_pooled.peak_io_threads, STORM_IO_THREADS
         );
     }
     if cascade_speedup < REQUIRED_CASCADE_SPEEDUP {

@@ -84,9 +84,10 @@ pub struct TopKConfig {
     /// selection-heap sifts, cutoff prefix checks). On by default; off
     /// forces full key comparisons everywhere (differential baseline).
     pub ovc_enabled: bool,
-    /// Spill runs through a background writer thread that overlaps block
-    /// encoding/writing with row production (on by default; off spills
-    /// synchronously on the operator thread).
+    /// Spill runs through a background pipeline whose block writes run on
+    /// the I/O pool, overlapping block encoding/writing with row
+    /// production (on by default; off spills synchronously on the operator
+    /// thread).
     pub spill_pipeline: bool,
     /// Blocks of background read-ahead per merge input; the effective
     /// prefetch window is `readahead_blocks × block_bytes`. `0` reads
@@ -109,14 +110,15 @@ pub struct TopKConfig {
     /// refinements in completion order, so intermediate run shapes — and
     /// with them tie-break order among duplicate keys — become
     /// timing-dependent, which the differential suites (and any caller
-    /// needing run-to-run byte stability) must not see. `0` reuses
-    /// [`merge_threads`](TopKConfig::merge_threads).
+    /// needing run-to-run byte stability) must not see. Must be at least 1.
     pub cascade_threads: usize,
     /// Background-I/O worker threads. Spill writes and merge read-ahead
     /// submit block-sized jobs to one shared pool of this size, bounding
     /// the operator's background thread count no matter how many runs and
-    /// merge sources are open. `0` = legacy mode: one dedicated thread per
-    /// open run / merge source (for differential testing). Default 4.
+    /// merge sources are open. This pool is the only place background I/O
+    /// runs; turning off [`spill_pipeline`](TopKConfig::spill_pipeline)
+    /// and [`readahead_blocks`](TopKConfig::readahead_blocks) makes all
+    /// I/O synchronous instead. Must be at least 1. Default 4.
     pub io_threads: usize,
     /// Rows per batch on the batched merge path (loser-tree drain loops,
     /// partition-worker channel hops). Must be at least 1. Default 1024.
@@ -207,28 +209,22 @@ impl TopKConfig {
     /// injected shared pool when
     /// [`io_scheduler_handle`](TopKConfig::io_scheduler_handle) is set,
     /// otherwise a fresh pool of [`io_threads`](TopKConfig::io_threads)
-    /// workers, or `None` in legacy thread-per-source mode
-    /// (`io_threads == 0`). Operators call this once and thread the pool
-    /// through their run catalog and merge tuning.
-    pub fn io_scheduler(&self) -> Option<histok_storage::IoScheduler> {
-        if self.io_threads == 0 {
-            return None;
-        }
+    /// workers. Operators call this once and thread the pool through their
+    /// run catalog and merge tuning.
+    pub fn io_scheduler(&self) -> histok_storage::IoScheduler {
         self.io_scheduler_handle
             .clone()
-            .or_else(|| Some(histok_storage::IoScheduler::new(self.io_threads)))
+            .unwrap_or_else(|| histok_storage::IoScheduler::new(self.io_threads))
     }
 
     /// Returns a clone of this config with one materialized shared I/O
     /// pool injected, so composite operators (grouped, segmented,
     /// exchange) hand every sub-operator the *same* `io_threads` workers
-    /// instead of letting each construct a private pool. A no-op in
-    /// legacy mode or when a shared pool was already injected.
+    /// instead of letting each construct a private pool. A no-op when a
+    /// shared pool was already injected.
     pub fn with_shared_io_scheduler(&self) -> TopKConfig {
         let mut config = self.clone();
-        if config.io_scheduler_handle.is_none() {
-            config.io_scheduler_handle = config.io_scheduler();
-        }
+        config.io_scheduler_handle = Some(config.io_scheduler());
         config
     }
 
@@ -253,17 +249,6 @@ impl TopKConfig {
         match &self.budget_lease {
             Some(handle) => handle.limit(),
             None => self.memory_budget,
-        }
-    }
-
-    /// Worker threads the intermediate cascade merges actually run on:
-    /// [`cascade_threads`](TopKConfig::cascade_threads), falling back to
-    /// [`merge_threads`](TopKConfig::merge_threads) when 0.
-    pub fn cascade_workers(&self) -> usize {
-        if self.cascade_threads == 0 {
-            self.merge_threads
-        } else {
-            self.cascade_threads
         }
     }
 
@@ -292,6 +277,12 @@ impl TopKConfig {
         }
         if self.merge_threads == 0 {
             return Err(Error::InvalidConfig("merge_threads must be at least 1".into()));
+        }
+        if self.cascade_threads == 0 {
+            return Err(Error::InvalidConfig("cascade_threads must be at least 1".into()));
+        }
+        if self.io_threads == 0 {
+            return Err(Error::InvalidConfig("io_threads must be at least 1".into()));
         }
         if self.batch_rows == 0 {
             return Err(Error::InvalidConfig("batch_rows must be at least 1".into()));
@@ -503,7 +494,6 @@ mod tests {
         assert!((1..=4).contains(&c.merge_threads));
         assert_eq!(c.partition_min_rows, 8192);
         assert_eq!(c.cascade_threads, 1);
-        assert_eq!(c.cascade_workers(), 1);
         assert_eq!(c.io_threads, 4);
         assert_eq!(c.run_gen_mode, RunGenMode::Adaptive);
         assert_eq!(c.batch_rows, 1024);
@@ -550,7 +540,6 @@ mod tests {
         assert_eq!(c.merge_threads, 2);
         assert_eq!(c.partition_min_rows, 100);
         assert_eq!(c.cascade_threads, 3);
-        assert_eq!(c.cascade_workers(), 3);
         assert_eq!(c.io_threads, 2);
         assert_eq!(c.batch_rows, 64);
     }
@@ -559,25 +548,21 @@ mod tests {
     fn injected_scheduler_is_returned_instead_of_a_fresh_pool() {
         let shared = histok_storage::IoScheduler::new(2);
         let c = TopKConfig::builder().io_scheduler_handle(shared.clone()).build().unwrap();
-        let got = c.io_scheduler().expect("scheduler expected");
+        let got = c.io_scheduler();
         assert!(got.same_pool(&shared), "injected pool must be returned, not a fresh one");
-        let again = c.io_scheduler().unwrap();
+        let again = c.io_scheduler();
         assert!(again.same_pool(&shared), "every call must return the same shared pool");
-        // Legacy mode wins: io_threads == 0 means no background pool at all.
-        let legacy =
-            TopKConfig::builder().io_threads(0).io_scheduler_handle(shared).build().unwrap();
-        assert!(legacy.io_scheduler().is_none());
     }
 
     #[test]
     fn with_shared_io_scheduler_materializes_one_pool() {
         let c = TopKConfig::default().with_shared_io_scheduler();
-        let a = c.io_scheduler().unwrap();
-        let b = c.io_scheduler().unwrap();
+        let a = c.io_scheduler();
+        let b = c.io_scheduler();
         assert!(a.same_pool(&b), "sub-operators cloned from this config must share the pool");
         // Idempotent: a second call keeps the already-injected pool.
         let again = c.with_shared_io_scheduler();
-        assert!(again.io_scheduler().unwrap().same_pool(&a));
+        assert!(again.io_scheduler().same_pool(&a));
     }
 
     #[test]
@@ -598,18 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn cascade_threads_zero_reuses_merge_threads() {
-        let c = TopKConfig::builder().merge_threads(3).cascade_threads(0).build().unwrap();
-        assert_eq!(c.cascade_workers(), 3);
-    }
-
-    #[test]
-    fn io_threads_zero_is_the_legacy_mode_and_valid() {
-        let c = TopKConfig::builder().io_threads(0).build().unwrap();
-        assert_eq!(c.io_threads, 0);
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         assert!(TopKConfig::builder().memory_budget(0).build().is_err());
         assert!(TopKConfig::builder().block_bytes(0).build().is_err());
@@ -620,6 +593,10 @@ mod tests {
         assert!(TopKConfig::builder().approx_slack(0.25).build().is_ok());
         assert!(TopKConfig::builder().merge_threads(0).build().is_err());
         assert!(TopKConfig::builder().merge_threads(1).build().is_ok());
+        assert!(TopKConfig::builder().cascade_threads(0).build().is_err());
+        assert!(TopKConfig::builder().cascade_threads(1).build().is_ok());
+        assert!(TopKConfig::builder().io_threads(0).build().is_err());
+        assert!(TopKConfig::builder().io_threads(1).build().is_ok());
         assert!(TopKConfig::builder().batch_rows(0).build().is_err());
         assert!(TopKConfig::builder().batch_rows(1).build().is_ok());
         assert!(TopKConfig::builder().dedup(true).aggregate(AggregateOp::Sum).build().is_err());

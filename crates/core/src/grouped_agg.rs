@@ -121,7 +121,7 @@ impl<K: SortKey> GroupedAggTopK<K> {
         .with_fan_in(config.merge.fan_in)
         .with_merge_threads(config.merge_threads)
         .with_partition_min_rows(config.partition_min_rows)
-        .with_cascade_threads(config.cascade_workers())
+        .with_cascade_threads(config.cascade_threads)
         .with_tuning(MergeTuning {
             ovc: config.ovc_enabled,
             stats: Some(cmp_stats.clone()),
@@ -130,7 +130,7 @@ impl<K: SortKey> GroupedAggTopK<K> {
             batch_rows: config.batch_rows,
             fold: None, // re-applied from with_fold at finish time
         })
-        .with_io_scheduler(config.io_scheduler());
+        .with_io_scheduler(Some(config.io_scheduler()));
         if matches!(config.run_gen_mode, RunGenMode::Batch) {
             sorter = sorter.with_batch_run_gen(true);
         }

@@ -116,7 +116,7 @@ fn choose_threshold<K: SortKey>(
 /// Builds merge sources over `runs` and the in-memory `residues`,
 /// skipping as much of the first `offset` rows as the block indexes allow.
 /// `readahead_blocks` wraps each positioned reader in background prefetch
-/// (0 = synchronous reads).
+/// on the catalog's I/O pool (0, or no pool = synchronous reads).
 pub fn fast_skip_sources<K: SortKey>(
     catalog: &RunCatalog<K>,
     runs: &[RunMeta<K>],
@@ -126,7 +126,7 @@ pub fn fast_skip_sources<K: SortKey>(
 ) -> Result<SkippedSources<K>> {
     let order = catalog.order();
     // Read-ahead goes through the catalog's shared I/O pool when one is
-    // configured; otherwise each prefetching source gets its own thread.
+    // configured; otherwise every source reads synchronously.
     let scheduler = catalog.io_scheduler();
     let Some(threshold) = choose_threshold(runs, &residues, offset, order) else {
         // Nothing skippable: open everything plainly.

@@ -158,8 +158,8 @@ pub struct ParallelTopK<K: SortKey> {
     partition_counters: Option<PartitionCounters>,
     cascade: CascadeStats,
     /// One background-I/O pool shared by every worker's spills and the
-    /// final merge (`None` = legacy thread-per-source).
-    io_scheduler: Option<IoScheduler>,
+    /// final merge.
+    io_scheduler: IoScheduler,
 }
 
 impl<K: SortKey> ParallelTopK<K> {
@@ -210,7 +210,7 @@ impl<K: SortKey> ParallelTopK<K> {
             if config.filter_enabled { config.sizing } else { SizingPolicy::Disabled };
 
         // One pool for the whole operator: worker spills contend for the
-        // same `io_threads` workers instead of spawning a thread per run.
+        // same `io_threads` workers.
         let io_scheduler = config.io_scheduler();
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
@@ -225,7 +225,7 @@ impl<K: SortKey> ParallelTopK<K> {
                 )
                 .with_block_bytes(config.block_bytes)
                 .with_spill_pipeline(config.spill_pipeline)
-                .with_io_scheduler(io_scheduler.clone()),
+                .with_io_scheduler(Some(io_scheduler.clone())),
             );
             let worker_catalog = catalog.clone();
             let shared_for_worker = shared.clone();
@@ -302,7 +302,7 @@ impl<K: SortKey> ParallelTopK<K> {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
             readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: self.io_scheduler.clone(),
+            io_scheduler: Some(self.io_scheduler.clone()),
             batch_rows: self.config.batch_rows,
             fold: None,
         }
@@ -361,7 +361,7 @@ impl<K: SortKey> ParallelTopK<K> {
                 Some(retained),
                 cutoff.as_ref(),
                 &tuning,
-                self.config.cascade_workers(),
+                self.config.cascade_threads,
             )?;
             self.cascade = self.cascade.merged(&cascade);
             est_rows += final_runs.iter().map(|m| m.rows).sum::<u64>();

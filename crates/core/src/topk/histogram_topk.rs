@@ -75,10 +75,9 @@ pub struct HistogramTopK<K: SortKey> {
     partition_counters: Option<PartitionCounters>,
     /// Intermediate cascade-merge pass counters.
     cascade: CascadeStats,
-    /// Shared background-I/O pool (`None` = legacy thread-per-source),
-    /// built once from `config.io_threads` and reused by every spill and
-    /// merge this operator performs.
-    io_scheduler: Option<IoScheduler>,
+    /// Shared background-I/O pool, built once from `config.io_threads`
+    /// and reused by every spill and merge this operator performs.
+    io_scheduler: IoScheduler,
     /// Fold counters every pipeline component flushes into; zero unless
     /// the query runs in dedup/aggregate mode.
     fold_stats: FoldStats,
@@ -239,7 +238,7 @@ impl<K: SortKey> HistogramTopK<K> {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
             readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: self.io_scheduler.clone(),
+            io_scheduler: Some(self.io_scheduler.clone()),
             batch_rows: self.config.batch_rows,
             fold: self.fold_spec(),
         }
@@ -296,7 +295,7 @@ impl<K: SortKey> HistogramTopK<K> {
             )
             .with_block_bytes(self.config.block_bytes)
             .with_spill_pipeline(self.config.spill_pipeline)
-            .with_io_scheduler(self.io_scheduler.clone()),
+            .with_io_scheduler(Some(self.io_scheduler.clone())),
         );
         let gen = self.build_generator(catalog.clone());
         let filter = self.build_filter();
@@ -414,7 +413,7 @@ impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
                     Some(self.spec.retained()),
                     cutoff.as_ref(),
                     &self.merge_tuning(),
-                    self.config.cascade_workers(),
+                    self.config.cascade_threads,
                 )?;
                 self.cascade = cascade;
                 // Range-partitioned parallel final merge (offset queries

@@ -137,10 +137,9 @@ pub struct OptimizedExternalTopK<K: SortKey> {
     partition_counters: Option<PartitionCounters>,
     /// Intermediate cascade-merge pass counters.
     cascade: CascadeStats,
-    /// Shared background-I/O pool (`None` = legacy thread-per-source),
-    /// built once from `config.io_threads` and reused by every spill and
-    /// merge this operator performs.
-    io_scheduler: Option<IoScheduler>,
+    /// Shared background-I/O pool, built once from `config.io_threads`
+    /// and reused by every spill and merge this operator performs.
+    io_scheduler: IoScheduler,
 }
 
 impl<K: SortKey> OptimizedExternalTopK<K> {
@@ -195,7 +194,7 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
             ovc: self.config.ovc_enabled,
             stats: Some(self.cmp_stats.clone()),
             readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: self.io_scheduler.clone(),
+            io_scheduler: Some(self.io_scheduler.clone()),
             batch_rows: self.config.batch_rows,
             fold: None,
         }
@@ -229,7 +228,7 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
             )
             .with_block_bytes(self.config.block_bytes)
             .with_spill_pipeline(self.config.spill_pipeline)
-            .with_io_scheduler(self.io_scheduler.clone()),
+            .with_io_scheduler(Some(self.io_scheduler.clone())),
         );
         // Replacement selection *defines* this baseline ([Graefe'08]), so
         // only the explicit Batch override swaps in the radix sorter
@@ -352,7 +351,7 @@ impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
                     Some(self.spec.retained()),
                     obs.cutoff.as_ref(),
                     &self.merge_tuning(),
-                    self.config.cascade_workers(),
+                    self.config.cascade_threads,
                 )?;
                 self.cascade = cascade;
                 // Range-partition the final merge when configured. The

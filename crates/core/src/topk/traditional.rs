@@ -69,7 +69,7 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
                 .with_spill_pipeline(config.spill_pipeline)
                 .with_merge_threads(config.merge_threads)
                 .with_partition_min_rows(config.partition_min_rows)
-                .with_cascade_threads(config.cascade_workers())
+                .with_cascade_threads(config.cascade_threads)
                 .with_tuning(MergeTuning {
                     ovc: config.ovc_enabled,
                     stats: Some(op.cmp_stats.clone()),
@@ -80,7 +80,7 @@ impl<K: SortKey> TraditionalExternalTopK<K> {
                 })
                 // After with_tuning: sets both the catalog's spill pool and
                 // the tuning's read-ahead pool.
-                .with_io_scheduler(config.io_scheduler()),
+                .with_io_scheduler(Some(config.io_scheduler())),
         );
         Ok(op)
     }

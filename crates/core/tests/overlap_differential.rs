@@ -8,7 +8,7 @@
 //! divergence in tie-breaking, block framing, or prefetch ordering shows up
 //! as a payload mismatch, not just a key mismatch. Tiny memory and block
 //! sizes force spilling, multi-block runs and real merge fan-in, so the
-//! pipeline and prefetch threads genuinely run in every cell.
+//! pipeline and prefetch jobs genuinely run on the I/O pool in every cell.
 
 use histok_core::{HistogramTopK, TopKConfig, TopKOperator};
 use histok_storage::MemoryBackend;

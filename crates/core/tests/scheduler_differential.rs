@@ -2,16 +2,17 @@
 //! output.
 //!
 //! Every {key type} × {sort order} × {filter on/off} cell runs the same
-//! input through [`HistogramTopK`] three times — `io_threads = 0` (legacy
-//! one thread per open run / merge source), `1` (maximum contention: every
-//! spill and read-ahead job serialized through one worker) and `4` (the
+//! input through [`HistogramTopK`] three times — a synchronous reference
+//! (spill pipeline off, `readahead_blocks = 0`: no job ever reaches the
+//! pool), `io_threads = 1` (maximum contention: every spill and
+//! read-ahead job serialized through one worker) and `io_threads = 4` (the
 //! default pool) — and asserts byte-identical output. Payloads are unique
 //! per input row, so a divergence in tie-breaking, block framing, or job
 //! scheduling shows up as a payload mismatch, not just a key mismatch.
 //! Tiny memory and block sizes force spilling, multi-block runs and real
 //! merge fan-in, so the pool genuinely carries jobs in every cell.
 
-use histok_core::{HistogramTopK, TopKConfig, TopKOperator};
+use histok_core::{HistogramTopK, TopKConfig, TopKConfigBuilder, TopKOperator};
 use histok_storage::MemoryBackend;
 use histok_types::{BytesKey, Row, SortKey, SortOrder, SortSpec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -52,14 +53,12 @@ fn spec_for(order: SortOrder) -> SortSpec {
 
 fn scheduler_differential<K: KeyGen>(label: &str, order: SortOrder, filter: bool) {
     let rows = workload::<K>(0x10DD);
-    let run = |io_threads: usize| -> Vec<Row<K>> {
-        let cfg = TopKConfig::builder()
+    let run = |builder: TopKConfigBuilder| -> Vec<Row<K>> {
+        let cfg = builder
             .memory_budget(16 * 1024)
             .block_bytes(512)
             .fan_in(4)
             .filter_enabled(filter)
-            .readahead_blocks(3)
-            .io_threads(io_threads)
             .build()
             .expect("grid config");
         let mut op =
@@ -69,16 +68,16 @@ fn scheduler_differential<K: KeyGen>(label: &str, order: SortOrder, filter: bool
         }
         op.finish().expect("finish").map(|r| r.expect("row")).collect()
     };
-    let legacy = run(0);
-    assert_eq!(legacy.len(), K as usize, "{label}: short output");
+    let reference = run(TopKConfig::builder().spill_pipeline(false).readahead_blocks(0));
+    assert_eq!(reference.len(), K as usize, "{label}: short output");
     for threads in [1usize, 4] {
-        let pooled = run(threads);
+        let pooled = run(TopKConfig::builder().readahead_blocks(3).io_threads(threads));
         assert_eq!(
-            legacy.len(),
+            reference.len(),
             pooled.len(),
             "{label}: row counts diverged at io_threads={threads}"
         );
-        for (i, (a, b)) in legacy.iter().zip(&pooled).enumerate() {
+        for (i, (a, b)) in reference.iter().zip(&pooled).enumerate() {
             assert_eq!(a.key, b.key, "{label}: key diverged at row {i} (io_threads={threads})");
             assert_eq!(
                 a.payload, b.payload,

@@ -32,9 +32,9 @@ pub struct ServerConfig {
     /// The global memory pool all queries lease from (the fleet-wide
     /// analogue of the paper's per-operator 1 GB allocation, §5.1.2).
     pub total_memory: usize,
-    /// Background-I/O worker threads for the whole fleet. `0` disables the
-    /// shared pool (every query falls back to its own config's behaviour —
-    /// only for differential testing).
+    /// Background-I/O worker threads for the whole fleet (clamped to at
+    /// least 1). Every admitted query submits its spill writes and merge
+    /// read-ahead to this one pool.
     pub io_threads: usize,
     /// The smallest workspace a spilling query is admitted with; also the
     /// merge-phase reserve a lease shrinks to after run generation.
@@ -89,7 +89,7 @@ pub struct FleetMetrics {
 #[derive(Debug)]
 pub struct TopKServer {
     config: ServerConfig,
-    scheduler: Option<IoScheduler>,
+    scheduler: IoScheduler,
     budget: ServerBudget,
     running: AtomicUsize,
     peak_running: AtomicUsize,
@@ -100,9 +100,9 @@ pub struct TopKServer {
 
 impl TopKServer {
     /// Builds a server owning `config.total_memory` bytes of lease pool
-    /// and (unless `io_threads == 0`) one shared I/O worker pool.
+    /// and one shared I/O worker pool of `config.io_threads` workers.
     pub fn new(config: ServerConfig) -> Self {
-        let scheduler = (config.io_threads > 0).then(|| IoScheduler::new(config.io_threads));
+        let scheduler = IoScheduler::new(config.io_threads);
         let budget = ServerBudget::new(config.total_memory);
         TopKServer {
             config,
@@ -116,9 +116,10 @@ impl TopKServer {
         }
     }
 
-    /// The shared background-I/O pool (None when `io_threads == 0`).
+    /// The shared background-I/O pool. Always `Some`: every server owns
+    /// a pool.
     pub fn scheduler(&self) -> Option<&IoScheduler> {
-        self.scheduler.as_ref()
+        Some(&self.scheduler)
     }
 
     /// The global lease pool.
@@ -178,14 +179,7 @@ impl TopKServer {
 
         {
             let config = query.config_mut();
-            if let Some(scheduler) = &self.scheduler {
-                config.io_scheduler_handle = Some(scheduler.clone());
-                // The shared pool only bounds fleet threads if no query
-                // falls back to legacy thread-per-source mode.
-                if config.io_threads == 0 {
-                    config.io_threads = self.config.io_threads;
-                }
-            }
+            config.io_scheduler_handle = Some(self.scheduler.clone());
             config.budget_lease = Some(lease.handle().clone());
         }
 

@@ -151,15 +151,16 @@ impl<K: SortKey> ExternalSorter<K> {
         self
     }
 
-    /// Enables or disables the background spill pipeline (on by default).
+    /// Enables or disables the background spill pipeline (on by default;
+    /// it needs an I/O scheduler, see [`ExternalSorter::with_io_scheduler`]).
     pub fn with_spill_pipeline(self, enabled: bool) -> Self {
         self.catalog.set_spill_pipeline(enabled);
         self
     }
 
     /// Routes spill writes and merge read-ahead through `scheduler`'s
-    /// shared worker pool instead of one thread per open run / merge
-    /// source (`None`, the default, keeps the legacy dedicated threads).
+    /// shared worker pool (`None`, the default, does all I/O synchronously
+    /// on the sorting thread).
     pub fn with_io_scheduler(mut self, scheduler: Option<IoScheduler>) -> Self {
         self.catalog.set_io_scheduler(scheduler.clone());
         self.tuning.io_scheduler = scheduler;

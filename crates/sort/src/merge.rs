@@ -36,8 +36,9 @@ pub struct MergeTuning {
     /// Blocks of background read-ahead per run input (default 2); `0`
     /// reads synchronously on the merge thread.
     pub readahead_blocks: usize,
-    /// Shared worker pool the read-ahead jobs run on; `None` spawns the
-    /// legacy dedicated thread per merge source.
+    /// Shared worker pool the read-ahead jobs run on; `None` reads every
+    /// run input synchronously on the merge thread, whatever
+    /// `readahead_blocks` says.
     pub io_scheduler: Option<IoScheduler>,
     /// Rows per merge output batch (and the refill hint passed to batched
     /// sources). `1` degenerates to row-at-a-time — the differential
@@ -101,8 +102,8 @@ impl MergeTuning {
 pub enum MergeSource<K: SortKey> {
     /// Rows streamed from a spilled run, read synchronously.
     Run(RunReader<K>),
-    /// Rows streamed from a spilled run through a background read-ahead
-    /// thread (see [`PrefetchingRunReader`]).
+    /// Rows streamed from a spilled run through background read-ahead
+    /// jobs on a shared I/O pool (see [`PrefetchingRunReader`]).
     Prefetched(PrefetchingRunReader<K>),
     /// Rows already in memory, sorted in output order.
     Memory(std::vec::IntoIter<Row<K>>),
@@ -116,31 +117,21 @@ pub enum MergeSource<K: SortKey> {
 }
 
 impl<K: SortKey> MergeSource<K> {
-    /// Wraps an (optionally mid-run) reader, prefetching `readahead_blocks`
-    /// blocks on a dedicated background thread when non-zero.
-    pub fn from_reader(reader: RunReader<K>, readahead_blocks: usize) -> Self {
-        MergeSource::from_reader_scheduled(reader, readahead_blocks, None)
-    }
-
-    /// As [`MergeSource::from_reader`], but when `scheduler` is set the
-    /// read-ahead runs as jobs on its shared pool (starting at prefetch
-    /// priority, escalated once the merge actually drains this source)
-    /// instead of a dedicated thread.
+    /// Wraps an (optionally mid-run) reader. With a `scheduler` and a
+    /// non-zero `readahead_blocks`, the reader prefetches that many blocks
+    /// as jobs on the shared pool (starting at prefetch priority,
+    /// escalated once the merge actually drains this source); otherwise
+    /// it reads synchronously on the merge thread.
     pub fn from_reader_scheduled(
         reader: RunReader<K>,
         readahead_blocks: usize,
         scheduler: Option<IoSchedulerHandle>,
     ) -> Self {
-        if readahead_blocks == 0 {
-            return MergeSource::Run(reader);
-        }
         match scheduler {
-            Some(handle) => MergeSource::Prefetched(PrefetchingRunReader::spawn_scheduled(
-                reader,
-                readahead_blocks,
-                handle,
-            )),
-            None => MergeSource::Prefetched(PrefetchingRunReader::spawn(reader, readahead_blocks)),
+            Some(handle) if readahead_blocks > 0 => MergeSource::Prefetched(
+                PrefetchingRunReader::spawn_scheduled(reader, readahead_blocks, handle),
+            ),
+            _ => MergeSource::Run(reader),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Overlapped I/O through the merge layer: error propagation from
-//! prefetch threads into the loser tree, cancellation of a multi-source
-//! merge, and pipeline on/off equivalence of the full external sort.
+//! prefetch jobs on the shared I/O pool into the loser tree, cancellation
+//! of a multi-source merge, and pipeline on/off equivalence of the full
+//! external sort.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -8,7 +9,8 @@ use std::time::Duration;
 
 use histok_sort::{merge_sources_tuned, ExternalSorter, MergeSource, MergeTuning};
 use histok_storage::{
-    FaultBackend, FaultPlan, IoStats, MemoryBackend, RunCatalog, ThrottleModel, ThrottledBackend,
+    FaultBackend, FaultPlan, IoScheduler, IoStats, MemoryBackend, RunCatalog, ThrottleModel,
+    ThrottledBackend,
 };
 use histok_types::{Error, Result, Row, SortOrder};
 
@@ -50,7 +52,8 @@ fn corrupt_run_fails_a_full_prefetched_merge_with_err() {
         for r in 0..3u64 {
             write_run(&cat, (0..500).map(|j| j * 3 + r));
         }
-        let tuning = MergeTuning::default().with_readahead(2);
+        let tuning =
+            MergeTuning::default().with_readahead(2).with_io_scheduler(Some(IoScheduler::new(2)));
         let mut sources = Vec::new();
         for meta in cat.runs() {
             sources.push(histok_sort::open_source(&cat, &meta, &tuning).unwrap());
@@ -62,9 +65,9 @@ fn corrupt_run_fails_a_full_prefetched_merge_with_err() {
 }
 
 #[test]
-fn dropping_a_merge_stream_after_one_row_joins_all_prefetch_threads() {
+fn dropping_a_merge_stream_after_one_row_cancels_all_prefetch_jobs() {
     with_watchdog(|| {
-        // Sleeping throttle: prefetch threads are mid-I/O when cancelled.
+        // Sleeping throttle: prefetch jobs are mid-I/O when cancelled.
         let model = ThrottleModel {
             per_op: Duration::from_micros(200),
             per_byte: Duration::ZERO,
@@ -78,7 +81,8 @@ fn dropping_a_merge_stream_after_one_row_joins_all_prefetch_threads() {
         for r in 0..6u64 {
             write_run(&cat, (0..1_000).map(|j| j * 6 + r));
         }
-        let tuning = MergeTuning::default().with_readahead(2);
+        let tuning =
+            MergeTuning::default().with_readahead(2).with_io_scheduler(Some(IoScheduler::new(2)));
         let mut sources = Vec::new();
         for meta in cat.runs() {
             sources.push(histok_sort::open_source(&cat, &meta, &tuning).unwrap());
@@ -87,7 +91,8 @@ fn dropping_a_merge_stream_after_one_row_joins_all_prefetch_threads() {
         let first = tree.next().unwrap().unwrap();
         assert_eq!(first.key, 0);
         // Dropping the tree drops all six prefetch readers; each must
-        // unblock and join its thread. A leak hangs the watchdog.
+        // cancel its jobs and wait out the one in flight. A leak hangs the
+        // watchdog.
         drop(tree);
     });
 }
@@ -105,7 +110,12 @@ fn zero_readahead_falls_back_to_synchronous_sources() {
             .with_block_bytes(64),
         );
         write_run(&cat, 0..100);
-        let tuning = MergeTuning::default().with_readahead(0);
+        // Without a pool, read-ahead is off whatever its depth says.
+        let no_pool = MergeTuning::default().with_readahead(2);
+        let source = histok_sort::open_source(&cat, &cat.runs()[0], &no_pool).unwrap();
+        assert!(matches!(source, MergeSource::Run(_)));
+        let tuning =
+            MergeTuning::default().with_readahead(0).with_io_scheduler(Some(IoScheduler::new(1)));
         let source = histok_sort::open_source(&cat, &cat.runs()[0], &tuning).unwrap();
         assert!(matches!(source, MergeSource::Run(_)));
         let keys: Vec<u64> = merge_sources_tuned(vec![source], SortOrder::Ascending, &tuning)
@@ -131,7 +141,9 @@ fn external_sort_is_identical_with_and_without_overlap() {
             .with_fan_in(4)
             .with_block_bytes(256)
             .with_spill_pipeline(overlap)
-            .with_tuning(MergeTuning::default().with_readahead(if overlap { 3 } else { 0 }));
+            .with_tuning(MergeTuning::default().with_readahead(if overlap { 3 } else { 0 }))
+            // After with_tuning, which would reset the read-ahead pool.
+            .with_io_scheduler(overlap.then(|| IoScheduler::new(2)));
             for &k in &keys {
                 sorter.push(Row::new(k, k.to_le_bytes().to_vec())).unwrap();
             }

@@ -28,7 +28,7 @@ pub struct RunCatalog<K: SortKey> {
     block_bytes: AtomicUsize,
     spill_pipeline: AtomicBool,
     /// When set, pipelined spill writes run on this shared pool (gated on
-    /// this catalog's backend) instead of one thread per open run.
+    /// this catalog's backend); without it every run spills synchronously.
     io_scheduler: Mutex<Option<IoSchedulerHandle>>,
 }
 
@@ -70,7 +70,8 @@ impl<K: SortKey> RunCatalog<K> {
     }
 
     /// Enables or disables the background [`SpillPipeline`] for new runs
-    /// (on by default).
+    /// (on by default; it only takes effect with an I/O scheduler, see
+    /// [`RunCatalog::with_io_scheduler`]).
     ///
     /// [`SpillPipeline`]: crate::pipeline::SpillPipeline
     pub fn with_spill_pipeline(self, enabled: bool) -> Self {
@@ -102,7 +103,7 @@ impl<K: SortKey> RunCatalog<K> {
     }
 
     /// Routes pipelined spill writes of new runs through `scheduler`'s
-    /// shared worker pool (`None` restores one thread per open run).
+    /// shared worker pool (`None` spills synchronously on the caller).
     pub fn with_io_scheduler(self, scheduler: Option<IoScheduler>) -> Self {
         self.set_io_scheduler(scheduler);
         self
@@ -130,8 +131,7 @@ impl<K: SortKey> RunCatalog<K> {
             self.order,
             self.stats.clone(),
             self.block_bytes(),
-            self.spill_pipeline(),
-            self.io_scheduler(),
+            self.io_scheduler().filter(|_| self.spill_pipeline()),
         )
     }
 

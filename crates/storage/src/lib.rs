@@ -19,8 +19,8 @@
 //!   them on drop.
 //! * [`IoScheduler`] — a fixed-size background worker pool with priority
 //!   classes and per-backend in-flight limits; the spill pipeline and
-//!   prefetching reader submit block-sized jobs to it instead of each
-//!   spawning a dedicated thread.
+//!   prefetching reader submit block-sized jobs to it; it is the only
+//!   place background I/O runs.
 
 #![deny(missing_docs)]
 

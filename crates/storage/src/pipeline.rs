@@ -6,7 +6,7 @@
 //! merging therefore *add* that latency to run generation and merge time.
 //! The two primitives here hide it instead:
 //!
-//! * [`SpillPipeline`] — a background writer per open run. The operator
+//! * [`SpillPipeline`] — background writes per open run. The operator
 //!   thread appends rows into the active block buffer; on seal it hands
 //!   the raw payload to a bounded queue (capacity
 //!   [`SPILL_PIPELINE_DEPTH`]) and keeps filling the next block while the
@@ -20,17 +20,16 @@
 //!   `readahead_blocks` decoded batches in the buffer plus the in-hand
 //!   batch the consumer is draining.
 //!
-//! **Two execution modes.** Both primitives either spawn a dedicated OS
-//! thread (the legacy mode, one thread per open run / per merge source) or
-//! submit block-sized jobs to a shared [`IoScheduler`](crate::IoScheduler) pool
-//! ([`SpillPipeline::spawn_scheduled`] /
+//! **Execution.** Both primitives submit block-sized jobs to a shared
+//! [`IoScheduler`](crate::IoScheduler) pool ([`SpillPipeline::spawn_scheduled`] /
 //! [`PrefetchingRunReader::spawn_scheduled`]), which bounds the
 //! process-wide background thread count to the pool size no matter how
-//! many runs and sources are open. Scheduler jobs are state-machine steps:
-//! they re-check the component state under its lock, do at most one block
-//! of I/O, and *return* instead of blocking, so any pool size ≥ 1 is
-//! deadlock-free. Spill jobs run at [`IoPriority::SpillWrite`]; prefetch
-//! jobs start at [`IoPriority::Prefetch`] and are escalated to
+//! many runs and sources are open; without a pool, callers do their I/O
+//! synchronously instead. Jobs are state-machine steps: they re-check the
+//! component state under its lock, do at most one block of I/O, and
+//! *return* instead of blocking, so any pool size ≥ 1 is deadlock-free.
+//! Spill jobs run at [`IoPriority::SpillWrite`]; prefetch jobs start at
+//! [`IoPriority::Prefetch`] and are escalated to
 //! [`IoPriority::MergeReadAhead`] — including jobs already queued — the
 //! moment the consumer actually blocks on the source.
 //!
@@ -42,10 +41,10 @@
 //! counterpart or a latched terminal state.
 //!
 //! **Cancellation.** Dropping either wrapper marks the component abandoned,
-//! waits out at most one in-flight block job (or joins the legacy thread),
-//! and discards any unfinished backend object (same contract as dropping a
-//! synchronous `SpillWriter`). A consumer that abandons a merge stream
-//! mid-way therefore tears down every prefetch source deterministically.
+//! waits out at most one in-flight block job, and discards any unfinished
+//! backend object (same contract as dropping a synchronous `SpillWriter`).
+//! A consumer that abandons a merge stream mid-way therefore tears down
+//! every prefetch source deterministically.
 //!
 //! **Accounting.** Background I/O books its storage busy time into a
 //! per-component `OverlapLedger`; the compute thread books its blocked
@@ -56,17 +55,15 @@
 //! their per-component sum never exceeds the component's wall time.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use histok_types::{Error, Result, Row, RowBatch, SortKey};
 
 use crate::backend::SpillWriter;
 use crate::crc::crc32;
 use crate::run::{encode_block_header, encode_end_marker, RunReader, BLOCK_HEADER_BYTES};
-use crate::scheduler::{lock, wait, IoClass, IoPriority, IoSchedulerHandle, ThreadCensus};
+use crate::scheduler::{lock, wait, IoClass, IoPriority, IoSchedulerHandle};
 use crate::stats::{IoStats, OverlapLedger};
 
 /// Maximum sealed blocks in flight between the operator thread and the
@@ -81,12 +78,20 @@ enum SpillMsg {
     Finish,
 }
 
-/// Shared state between a scheduled pipeline's producer and its jobs.
+/// Shared state between a pipeline's producer and its jobs.
 struct PipeShared {
     state: Mutex<PipeState>,
     cond: Condvar,
     stats: IoStats,
     ledger: Arc<OverlapLedger>,
+}
+
+impl PipeShared {
+    /// Books time the compute thread spent blocked on the pipeline.
+    fn record_wait(&self, waited: Duration) {
+        self.stats.record_io_wait(waited);
+        self.ledger.record_wait(waited);
+    }
 }
 
 struct PipeState {
@@ -189,57 +194,20 @@ fn pipe_job(shared: &Arc<PipeShared>) {
     }
 }
 
-enum PipeMode {
-    /// Legacy: a dedicated writer thread per open run.
-    Thread {
-        tx: Option<SyncSender<SpillMsg>>,
-        handle: Option<JoinHandle<()>>,
-        error: Arc<Mutex<Option<Error>>>,
-    },
-    /// Shared pool: block-sized jobs submitted to an [`IoScheduler`].
-    Scheduled { shared: Arc<PipeShared>, handle: IoSchedulerHandle, class: IoClass },
-}
-
 /// A background writer that turns sealed block payloads into CRC-framed
-/// writes against a [`SpillWriter`] — on a dedicated thread
-/// ([`SpillPipeline::spawn`]) or a shared scheduler pool
-/// ([`SpillPipeline::spawn_scheduled`]). See the module docs for the
-/// backpressure, error, cancellation and accounting rules.
+/// writes against a [`SpillWriter`], as [`IoPriority::SpillWrite`] jobs on
+/// a shared scheduler pool. See the module docs for the backpressure,
+/// error, cancellation and accounting rules.
 pub struct SpillPipeline {
-    mode: PipeMode,
-    stats: IoStats,
-    ledger: Arc<OverlapLedger>,
+    shared: Arc<PipeShared>,
+    handle: IoSchedulerHandle,
+    class: IoClass,
 }
 
 impl SpillPipeline {
-    /// Spawns a dedicated writer thread. `header` is written first (the
-    /// run-file header), so the operator thread performs no storage
-    /// request itself.
-    pub fn spawn(writer: Box<dyn SpillWriter>, header: Vec<u8>, stats: IoStats) -> Self {
-        let (tx, rx) = sync_channel::<SpillMsg>(SPILL_PIPELINE_DEPTH);
-        let error = Arc::new(Mutex::new(None));
-        let latch = error.clone();
-        let ledger = OverlapLedger::new(stats.clone());
-        let thread_stats = stats.clone();
-        let thread_ledger = ledger.clone();
-        let handle = std::thread::spawn(move || {
-            let _census = ThreadCensus::register();
-            if let Err(e) = run_writer_thread(writer, header, rx, &thread_stats, &thread_ledger) {
-                *lock(&latch) = Some(e);
-                // Returning drops `rx`: the operator's next `send` fails
-                // and surfaces the latched error.
-            }
-        });
-        SpillPipeline {
-            mode: PipeMode::Thread { tx: Some(tx), handle: Some(handle), error },
-            stats,
-            ledger,
-        }
-    }
-
-    /// As [`SpillPipeline::spawn`], but the writes run as
-    /// [`IoPriority::SpillWrite`] jobs on `scheduler`'s pool instead of a
-    /// dedicated thread.
+    /// Starts a pipeline whose writes run on `scheduler`'s pool. `header`
+    /// is written first (the run-file header), so the operator thread
+    /// performs no storage request itself.
     pub fn spawn_scheduled(
         writer: Box<dyn SpillWriter>,
         header: Vec<u8>,
@@ -258,14 +226,18 @@ impl SpillPipeline {
                 abandoned: false,
             }),
             cond: Condvar::new(),
-            stats: stats.clone(),
-            ledger: ledger.clone(),
-        });
-        let class = IoClass::new(IoPriority::SpillWrite);
-        SpillPipeline {
-            mode: PipeMode::Scheduled { shared, handle: scheduler, class },
             stats,
             ledger,
+        });
+        SpillPipeline { shared, handle: scheduler, class: IoClass::new(IoPriority::SpillWrite) }
+    }
+
+    /// Submits a drain job unless one already owns the component.
+    fn kick(&self, st: &mut PipeState) {
+        if !st.job_active {
+            st.job_active = true;
+            let shared = self.shared.clone();
+            self.handle.submit(&self.class, move || pipe_job(&shared));
         }
     }
 
@@ -273,45 +245,22 @@ impl SpillPipeline {
     /// blocks are already in flight (backpressure); the blocked time is
     /// booked as compute-side I/O wait.
     pub fn write_block(&mut self, rows: u32, payload: Vec<u8>) -> Result<()> {
-        match &mut self.mode {
-            PipeMode::Thread { tx, error, .. } => {
-                let Some(tx) = tx else {
-                    return Err(take_error(error));
-                };
-                let started = Instant::now();
-                let sent = tx.send(SpillMsg::Block { rows, payload });
-                let waited = started.elapsed();
-                self.stats.record_io_wait(waited);
-                self.ledger.record_wait(waited);
-                if sent.is_err() {
-                    return Err(take_error(error));
-                }
-                Ok(())
-            }
-            PipeMode::Scheduled { shared, handle, class } => {
-                let started = Instant::now();
-                let mut st = lock(&shared.state);
-                while st.queue.len() >= SPILL_PIPELINE_DEPTH && st.failed.is_none() {
-                    st = wait(&shared.cond, st);
-                }
-                let waited = started.elapsed();
-                self.stats.record_io_wait(waited);
-                self.ledger.record_wait(waited);
-                if let Some(e) = st.failed.take() {
-                    return Err(e);
-                }
-                if st.finished {
-                    return Err(Error::Io(std::io::Error::other("write after pipeline finish")));
-                }
-                st.queue.push_back(SpillMsg::Block { rows, payload });
-                if !st.job_active {
-                    st.job_active = true;
-                    let shared = shared.clone();
-                    handle.submit(class, move || pipe_job(&shared));
-                }
-                Ok(())
-            }
+        let shared = &self.shared;
+        let started = Instant::now();
+        let mut st = lock(&shared.state);
+        while st.queue.len() >= SPILL_PIPELINE_DEPTH && st.failed.is_none() {
+            st = wait(&shared.cond, st);
         }
+        shared.record_wait(started.elapsed());
+        if let Some(e) = st.failed.take() {
+            return Err(e);
+        }
+        if st.finished {
+            return Err(Error::Io(std::io::Error::other("write after pipeline finish")));
+        }
+        st.queue.push_back(SpillMsg::Block { rows, payload });
+        self.kick(&mut st);
+        Ok(())
     }
 
     /// Writes the end marker, finishes the backend object, waits out the
@@ -319,133 +268,47 @@ impl SpillPipeline {
     /// completion) is booked as compute-side I/O wait; the component's
     /// overlap ledger settles here.
     pub fn finish(&mut self) -> Result<()> {
-        let result = match &mut self.mode {
-            PipeMode::Thread { tx, handle, error } => {
-                let started = Instant::now();
-                if let Some(tx) = tx.take() {
-                    // A send failure means the thread already died on a
-                    // latched error; the join below surfaces it.
-                    let _ = tx.send(SpillMsg::Finish);
-                }
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-                let waited = started.elapsed();
-                self.stats.record_io_wait(waited);
-                self.ledger.record_wait(waited);
-                match lock(error).take() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
-            PipeMode::Scheduled { shared, handle, class } => {
-                let started = Instant::now();
-                let mut st = lock(&shared.state);
-                if !st.finished && st.failed.is_none() {
-                    st.queue.push_back(SpillMsg::Finish);
-                    if !st.job_active {
-                        st.job_active = true;
-                        let job = shared.clone();
-                        handle.submit(class, move || pipe_job(&job));
-                    }
-                }
-                while st.job_active || (!st.finished && st.failed.is_none()) {
-                    st = wait(&shared.cond, st);
-                }
-                let result = match st.failed.take() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                };
-                drop(st);
-                let waited = started.elapsed();
-                self.stats.record_io_wait(waited);
-                self.ledger.record_wait(waited);
-                result
-            }
+        let shared = &self.shared;
+        let started = Instant::now();
+        let mut st = lock(&shared.state);
+        if !st.finished && st.failed.is_none() {
+            st.queue.push_back(SpillMsg::Finish);
+            self.kick(&mut st);
+        }
+        while st.job_active || (!st.finished && st.failed.is_none()) {
+            st = wait(&shared.cond, st);
+        }
+        let result = match st.failed.take() {
+            Some(e) => Err(e),
+            None => Ok(()),
         };
-        self.ledger.settle();
+        drop(st);
+        shared.record_wait(started.elapsed());
+        shared.ledger.settle();
         result
     }
 }
 
-fn take_error(error: &Arc<Mutex<Option<Error>>>) -> Error {
-    lock(error)
-        .take()
-        .unwrap_or_else(|| Error::Io(std::io::Error::other("spill pipeline thread terminated")))
-}
-
 impl Drop for SpillPipeline {
     fn drop(&mut self) {
-        match &mut self.mode {
-            PipeMode::Thread { tx, handle, .. } => {
-                // Disconnect without `Finish`: the thread abandons the run
-                // (the backend object is never finished, matching a dropped
-                // synchronous writer) and exits; then join so no thread
-                // leaks.
-                tx.take();
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
-            PipeMode::Scheduled { shared, .. } => {
-                let mut st = lock(&shared.state);
-                st.abandoned = true;
-                st.queue.clear();
-                st.writer = None;
-                st.header = None;
-                shared.cond.notify_all();
-                // Wait out at most one in-flight block job so nothing
-                // touches the component after it is gone.
-                while st.job_active {
-                    st = wait(&shared.cond, st);
-                }
-            }
+        let shared = &self.shared;
+        let mut st = lock(&shared.state);
+        st.abandoned = true;
+        st.queue.clear();
+        st.writer = None;
+        st.header = None;
+        shared.cond.notify_all();
+        // Wait out at most one in-flight block job so nothing touches the
+        // component after it is gone.
+        while st.job_active {
+            st = wait(&shared.cond, st);
         }
-        self.ledger.settle();
+        drop(st);
+        shared.ledger.settle();
     }
 }
 
-/// The legacy pipeline thread body: header first, then blocks until
-/// `Finish` or disconnect. Storage busy time lands in the component ledger.
-fn run_writer_thread(
-    mut writer: Box<dyn SpillWriter>,
-    header: Vec<u8>,
-    rx: Receiver<SpillMsg>,
-    stats: &IoStats,
-    ledger: &OverlapLedger,
-) -> Result<()> {
-    writer.write_all(&header)?;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            SpillMsg::Block { rows, payload } => {
-                let crc = crc32(&payload);
-                let frame = encode_block_header(rows, payload.len() as u32, crc);
-                let started = Instant::now();
-                writer.write_all(&frame)?;
-                writer.write_all(&payload)?;
-                let elapsed = started.elapsed();
-                stats.record_write_timed(
-                    u64::from(rows),
-                    BLOCK_HEADER_BYTES as u64 + payload.len() as u64,
-                    elapsed,
-                );
-                ledger.record_busy(elapsed);
-            }
-            SpillMsg::Finish => {
-                let started = Instant::now();
-                writer.write_all(&encode_end_marker())?;
-                writer.finish()?;
-                ledger.record_busy(started.elapsed());
-                return Ok(());
-            }
-        }
-    }
-    // Disconnected without `Finish`: the run was abandoned. Dropping the
-    // writer discards the object, per the SpillWriter contract.
-    Ok(())
-}
-
-/// Shared state between a scheduled prefetcher's consumer and its jobs.
+/// Shared state between a prefetcher's consumer and its jobs.
 struct PrefetchShared<K: SortKey> {
     state: Mutex<PrefetchState<K>>,
     cond: Condvar,
@@ -508,16 +371,8 @@ fn prefetch_job<K: SortKey>(shared: &Arc<PrefetchShared<K>>) {
     }
 }
 
-enum PrefetchMode<K: SortKey> {
-    /// Legacy: a dedicated read-ahead thread per merge source.
-    Thread { rx: Option<Receiver<Result<RowBatch<K>>>>, handle: Option<JoinHandle<()>> },
-    /// Shared pool: block-sized decode jobs on an [`IoScheduler`].
-    Scheduled { shared: Arc<PrefetchShared<K>>, handle: IoSchedulerHandle, class: IoClass },
-}
-
-/// A [`RunReader`] driven by bounded background read-ahead — a dedicated
-/// thread ([`PrefetchingRunReader::spawn`]) or shared-pool jobs
-/// ([`PrefetchingRunReader::spawn_scheduled`]).
+/// A [`RunReader`] driven by bounded background read-ahead jobs on a
+/// shared scheduler pool.
 ///
 /// The background side reads, CRC-checks and decodes up to
 /// `readahead_blocks` batches ahead (so `readahead_blocks + 1` blocks are
@@ -526,7 +381,9 @@ enum PrefetchMode<K: SortKey> {
 /// arrive in-band and fuse the iterator; dropping the reader mid-stream
 /// tears the background side down (see the module docs).
 pub struct PrefetchingRunReader<K: SortKey> {
-    mode: PrefetchMode<K>,
+    shared: Arc<PrefetchShared<K>>,
+    handle: IoSchedulerHandle,
+    class: IoClass,
     current: VecDeque<Row<K>>,
     stats: IoStats,
     ledger: Arc<OverlapLedger>,
@@ -536,44 +393,11 @@ pub struct PrefetchingRunReader<K: SortKey> {
 
 impl<K: SortKey> PrefetchingRunReader<K> {
     /// Takes ownership of `reader` (which may be mid-run, e.g. positioned
-    /// by `skip_rows`) and starts a dedicated thread prefetching up to
-    /// `readahead_blocks` decoded blocks ahead of the consumer.
-    pub fn spawn(mut reader: RunReader<K>, readahead_blocks: usize) -> Self {
-        let stats = reader.stats().clone();
-        let ledger = OverlapLedger::new(stats.clone());
-        reader.set_ledger(Some(ledger.clone()));
-        let (tx, rx) = sync_channel::<Result<RowBatch<K>>>(readahead_blocks.max(1));
-        let handle = std::thread::spawn(move || {
-            let _census = ThreadCensus::register();
-            loop {
-                match reader.next_batch() {
-                    Ok(Some(batch)) => {
-                        if tx.send(Ok(batch)).is_err() {
-                            return; // consumer dropped: stop prefetching
-                        }
-                    }
-                    Ok(None) => return, // end of run: dropping tx signals it
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                }
-            }
-        });
-        PrefetchingRunReader {
-            mode: PrefetchMode::Thread { rx: Some(rx), handle: Some(handle) },
-            current: VecDeque::new(),
-            stats,
-            ledger,
-            done: false,
-            rows_yielded: 0,
-        }
-    }
-
-    /// As [`PrefetchingRunReader::spawn`], but the decode work runs as
-    /// jobs on `scheduler`'s pool. Jobs start at [`IoPriority::Prefetch`]
-    /// and are escalated to [`IoPriority::MergeReadAhead`] once the
-    /// consumer blocks on this source.
+    /// by `skip_rows`) and starts prefetching up to `readahead_blocks`
+    /// decoded blocks ahead of the consumer on `scheduler`'s pool. Jobs
+    /// start at [`IoPriority::Prefetch`] and are escalated to
+    /// [`IoPriority::MergeReadAhead`] once the consumer blocks on this
+    /// source.
     pub fn spawn_scheduled(
         mut reader: RunReader<K>,
         readahead_blocks: usize,
@@ -597,7 +421,9 @@ impl<K: SortKey> PrefetchingRunReader<K> {
         let job = shared.clone();
         scheduler.submit(&class, move || prefetch_job(&job));
         PrefetchingRunReader {
-            mode: PrefetchMode::Scheduled { shared, handle: scheduler, class },
+            shared,
+            handle: scheduler,
+            class,
             current: VecDeque::new(),
             stats,
             ledger,
@@ -644,76 +470,54 @@ impl<K: SortKey> PrefetchingRunReader<K> {
         }
     }
 
+    /// Submits a fill job unless one already owns the component or the
+    /// run is exhausted.
+    fn kick(&self, st: &mut PrefetchState<K>) {
+        if !st.job_active && !st.eof && st.reader.is_some() {
+            st.job_active = true;
+            let job = self.shared.clone();
+            self.handle.submit(&self.class, move || prefetch_job(&job));
+        }
+    }
+
     /// The next batch from the background side (or in-band error), `None`
     /// at end of run. Only the blocked time counts as compute-side wait;
     /// the read and decode themselves were booked by the background side.
     fn recv_batch(&mut self) -> Option<Result<RowBatch<K>>> {
-        match &mut self.mode {
-            PrefetchMode::Thread { rx, .. } => {
-                let rx = rx.as_ref()?;
-                let started = Instant::now();
-                let msg = rx.recv();
-                let waited = started.elapsed();
-                self.stats.record_io_wait(waited);
-                self.ledger.record_wait(waited);
-                msg.ok() // a disconnect is a clean end of run
+        let mut st = lock(&self.shared.state);
+        loop {
+            if let Some(item) = st.ready.pop_front() {
+                // Buffer space freed: restart the fill if needed.
+                self.kick(&mut st);
+                return Some(item);
             }
-            PrefetchMode::Scheduled { shared, handle, class } => {
-                let mut st = lock(&shared.state);
-                loop {
-                    if let Some(item) = st.ready.pop_front() {
-                        // Buffer space freed: restart the fill if needed.
-                        if !st.job_active && !st.eof && st.reader.is_some() {
-                            st.job_active = true;
-                            let job = shared.clone();
-                            handle.submit(class, move || prefetch_job(&job));
-                        }
-                        return Some(item);
-                    }
-                    if st.eof {
-                        return None;
-                    }
-                    // The consumer is now blocked on this source: escalate
-                    // its jobs — including any already queued — so the pool
-                    // serves a draining merge input before speculation.
-                    class.set(IoPriority::MergeReadAhead);
-                    if !st.job_active && st.reader.is_some() {
-                        st.job_active = true;
-                        let job = shared.clone();
-                        handle.submit(class, move || prefetch_job(&job));
-                    }
-                    let started = Instant::now();
-                    st = wait(&shared.cond, st);
-                    let waited = started.elapsed();
-                    self.stats.record_io_wait(waited);
-                    self.ledger.record_wait(waited);
-                }
+            if st.eof {
+                return None;
             }
+            // The consumer is now blocked on this source: escalate its
+            // jobs — including any already queued — so the pool serves a
+            // draining merge input before speculation.
+            self.class.set(IoPriority::MergeReadAhead);
+            self.kick(&mut st);
+            let started = Instant::now();
+            st = wait(&self.shared.cond, st);
+            let waited = started.elapsed();
+            self.stats.record_io_wait(waited);
+            self.ledger.record_wait(waited);
         }
     }
 
     /// Tears down the background side and settles the overlap ledger.
     fn shut_down(&mut self) {
-        match &mut self.mode {
-            PrefetchMode::Thread { rx, handle } => {
-                // Drop the channel (unblocking a thread stuck in `send`),
-                // then join.
-                rx.take();
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
-            PrefetchMode::Scheduled { shared, .. } => {
-                let mut st = lock(&shared.state);
-                st.dropped = true;
-                st.ready.clear();
-                st.reader = None;
-                shared.cond.notify_all();
-                while st.job_active {
-                    st = wait(&shared.cond, st);
-                }
-            }
+        let mut st = lock(&self.shared.state);
+        st.dropped = true;
+        st.ready.clear();
+        st.reader = None;
+        self.shared.cond.notify_all();
+        while st.job_active {
+            st = wait(&self.shared.cond, st);
         }
+        drop(st);
         self.ledger.settle();
     }
 }
@@ -762,36 +566,15 @@ mod tests {
     use crate::scheduler::IoScheduler;
     use crate::throttle::{ThrottleModel, ThrottledBackend};
     use histok_types::SortOrder;
-    use std::time::Duration;
 
+    /// Writes keys `keys` as one run: through a spill pipeline on `sched`
+    /// when given, synchronously otherwise.
     fn write_run(
         be: &MemoryBackend,
         name: &str,
         keys: std::ops::Range<u64>,
         block_bytes: usize,
-        pipelined: bool,
-    ) -> crate::run::RunMeta<u64> {
-        let mut w = RunWriter::with_options(
-            be,
-            name,
-            SortOrder::Ascending,
-            IoStats::new(),
-            block_bytes,
-            pipelined,
-        )
-        .unwrap();
-        for k in keys {
-            w.append(&Row::new(k, vec![k as u8; 5])).unwrap();
-        }
-        w.finish().unwrap()
-    }
-
-    fn write_run_scheduled(
-        be: &MemoryBackend,
-        name: &str,
-        keys: std::ops::Range<u64>,
-        block_bytes: usize,
-        sched: &IoScheduler,
+        sched: Option<&IoScheduler>,
     ) -> crate::run::RunMeta<u64> {
         let mut w: RunWriter<u64> = RunWriter::with_io(
             be,
@@ -799,8 +582,7 @@ mod tests {
             SortOrder::Ascending,
             IoStats::new(),
             block_bytes,
-            true,
-            Some(sched.handle()),
+            sched.map(IoScheduler::handle),
         )
         .unwrap();
         for k in keys {
@@ -812,8 +594,9 @@ mod tests {
     #[test]
     fn pipelined_and_sync_runs_are_byte_identical() {
         let be = MemoryBackend::new();
-        let sync = write_run(&be, "sync", 0..500, 128, false);
-        let piped = write_run(&be, "piped", 0..500, 128, true);
+        let sched = IoScheduler::new(1);
+        let sync = write_run(&be, "sync", 0..500, 128, None);
+        let piped = write_run(&be, "piped", 0..500, 128, Some(&sched));
         assert_eq!(sync.rows, piped.rows);
         assert_eq!(sync.bytes, piped.bytes);
         assert_eq!(sync.blocks, piped.blocks);
@@ -822,22 +605,6 @@ mod tests {
         be.open("sync").unwrap().read_exact(&mut a).unwrap();
         be.open("piped").unwrap().read_exact(&mut b).unwrap();
         assert_eq!(a, b, "pipelined spill changed the on-storage bytes");
-    }
-
-    #[test]
-    fn scheduled_and_thread_pipelines_are_byte_identical() {
-        let be = MemoryBackend::new();
-        let sched = IoScheduler::new(2);
-        let piped = write_run(&be, "piped", 0..500, 128, true);
-        let pooled = write_run_scheduled(&be, "pooled", 0..500, 128, &sched);
-        assert_eq!(piped.rows, pooled.rows);
-        assert_eq!(piped.bytes, pooled.bytes);
-        assert_eq!(piped.blocks, pooled.blocks);
-        let mut a = vec![0u8; piped.bytes as usize];
-        let mut b = vec![0u8; pooled.bytes as usize];
-        be.open("piped").unwrap().read_exact(&mut a).unwrap();
-        be.open("pooled").unwrap().read_exact(&mut b).unwrap();
-        assert_eq!(a, b, "scheduled spill changed the on-storage bytes");
         assert!(sched.metrics().submitted[IoPriority::SpillWrite as usize] > 0);
     }
 
@@ -847,6 +614,7 @@ mod tests {
     /// `io_wait + overlapped ≤ wall` holds.
     #[test]
     fn pipelined_writer_records_overlapped_io() {
+        let sched = IoScheduler::new(1);
         let model = ThrottleModel {
             per_op: Duration::from_micros(200),
             per_byte: Duration::ZERO,
@@ -855,12 +623,18 @@ mod tests {
         let be = ThrottledBackend::new(MemoryBackend::new(), model);
         let stats = IoStats::new();
         let started = Instant::now();
-        let mut w: RunWriter<u64> =
-            RunWriter::with_options(&be, "ov", SortOrder::Ascending, stats.clone(), 64, true)
-                .unwrap();
+        let mut w: RunWriter<u64> = RunWriter::with_io(
+            &be,
+            "ov",
+            SortOrder::Ascending,
+            stats.clone(),
+            64,
+            Some(sched.handle()),
+        )
+        .unwrap();
         for k in 0..40u64 {
             w.append(&Row::key_only(k)).unwrap();
-            // Compute "work" between appends so the writer thread drains
+            // Compute "work" between appends so the pool worker drains
             // the queue and its sleeps overlap with this.
             std::thread::sleep(Duration::from_micros(300));
         }
@@ -878,88 +652,78 @@ mod tests {
         );
     }
 
-    /// Regression for the finish() double-count: the drain+join interval
-    /// must not be booked as io_wait *and* overlapped. A fast producer over
-    /// a slow backend maximizes the drain, which the old accounting
+    /// Regression for the finish() double-count: the drain interval must
+    /// not be booked as io_wait *and* overlapped. A fast producer over a
+    /// slow backend maximizes the drain, which the old accounting
     /// double-counted past wall time.
     #[test]
     fn wait_and_overlap_never_double_count_the_finish_drain() {
-        for scheduled in [false, true] {
-            let sched = IoScheduler::new(1);
-            let model = ThrottleModel {
-                per_op: Duration::from_micros(400),
-                per_byte: Duration::ZERO,
-                sleep: true,
-            };
-            let be = ThrottledBackend::new(MemoryBackend::new(), model);
-            let stats = IoStats::new();
-            let started = Instant::now();
-            let mut w: RunWriter<u64> = RunWriter::with_io(
-                &be,
-                "dc",
-                SortOrder::Ascending,
-                stats.clone(),
-                64,
-                true,
-                scheduled.then(|| sched.handle()),
-            )
-            .unwrap();
-            // Push everything at once: the pipeline queue fills and finish()
-            // has a long drain to sit out.
-            for k in 0..60u64 {
-                w.append(&Row::key_only(k)).unwrap();
-            }
-            w.finish().unwrap();
-            let wall = started.elapsed().as_nanos() as u64;
-            let snap = stats.snapshot();
-            assert!(snap.io_wait_ns > 0, "a saturated pipeline must book wait");
-            assert!(
-                snap.io_wait_ns + snap.overlapped_io_ns <= wall,
-                "scheduled={scheduled}: io_wait {} + overlapped {} exceeds wall {wall}",
-                snap.io_wait_ns,
-                snap.overlapped_io_ns,
-            );
+        let sched = IoScheduler::new(1);
+        let model = ThrottleModel {
+            per_op: Duration::from_micros(400),
+            per_byte: Duration::ZERO,
+            sleep: true,
+        };
+        let be = ThrottledBackend::new(MemoryBackend::new(), model);
+        let stats = IoStats::new();
+        let started = Instant::now();
+        let mut w: RunWriter<u64> = RunWriter::with_io(
+            &be,
+            "dc",
+            SortOrder::Ascending,
+            stats.clone(),
+            64,
+            Some(sched.handle()),
+        )
+        .unwrap();
+        // Push everything at once: the pipeline queue fills and finish()
+        // has a long drain to sit out.
+        for k in 0..60u64 {
+            w.append(&Row::key_only(k)).unwrap();
         }
+        w.finish().unwrap();
+        let wall = started.elapsed().as_nanos() as u64;
+        let snap = stats.snapshot();
+        assert!(snap.io_wait_ns > 0, "a saturated pipeline must book wait");
+        assert!(
+            snap.io_wait_ns + snap.overlapped_io_ns <= wall,
+            "io_wait {} + overlapped {} exceeds wall {wall}",
+            snap.io_wait_ns,
+            snap.overlapped_io_ns,
+        );
     }
 
     #[test]
     fn prefetching_reader_yields_identical_rows() {
-        let be = MemoryBackend::new();
-        let meta = write_run(&be, "pf", 0..1000, 96, true);
-        let plain: Vec<u64> =
-            RunReader::open(&be, &meta, IoStats::new()).unwrap().map(|r| r.unwrap().key).collect();
-        let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
-        let mut pf = PrefetchingRunReader::spawn(reader, 2);
-        let fetched: Vec<u64> = pf.by_ref().map(|r| r.unwrap().key).collect();
-        assert_eq!(plain, fetched);
-        assert_eq!(pf.rows_yielded(), 1000);
-    }
-
-    #[test]
-    fn scheduled_prefetcher_yields_identical_rows() {
-        let be = MemoryBackend::new();
-        let sched = IoScheduler::new(2);
-        let meta = write_run(&be, "spf", 0..1000, 96, false);
-        let plain: Vec<u64> =
-            RunReader::open(&be, &meta, IoStats::new()).unwrap().map(|r| r.unwrap().key).collect();
-        let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
-        let mut pf = PrefetchingRunReader::spawn_scheduled(reader, 2, sched.handle());
-        let fetched: Vec<u64> = pf.by_ref().map(|r| r.unwrap().key).collect();
-        assert_eq!(plain, fetched);
-        assert_eq!(pf.rows_yielded(), 1000);
-        let m = sched.metrics();
-        assert!(m.submitted_total() > 0, "prefetch must run through the pool");
+        for workers in [1, 2] {
+            let be = MemoryBackend::new();
+            let sched = IoScheduler::new(workers);
+            let meta = write_run(&be, "pf", 0..1000, 96, Some(&sched));
+            let plain: Vec<u64> = RunReader::open(&be, &meta, IoStats::new())
+                .unwrap()
+                .map(|r| r.unwrap().key)
+                .collect();
+            let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
+            let mut pf = PrefetchingRunReader::spawn_scheduled(reader, 2, sched.handle());
+            let fetched: Vec<u64> = pf.by_ref().map(|r| r.unwrap().key).collect();
+            assert_eq!(plain, fetched, "workers={workers}");
+            assert_eq!(pf.rows_yielded(), 1000);
+            let m = sched.metrics();
+            assert!(m.submitted[IoPriority::Prefetch as usize] > 0, "prefetch must use the pool");
+        }
     }
 
     #[test]
     fn prefetching_reader_resumes_after_skip() {
         let be = MemoryBackend::new();
-        let meta = write_run(&be, "sk", 0..600, 128, false);
+        let sched = IoScheduler::new(1);
+        let meta = write_run(&be, "sk", 0..600, 128, None);
         let stats = IoStats::new();
         let mut reader = RunReader::open(&be, &meta, stats.clone()).unwrap();
         reader.skip_rows(450).unwrap();
-        let rest: Vec<u64> =
-            PrefetchingRunReader::spawn(reader, 3).map(|r| r.unwrap().key).collect();
+        let rest: Vec<u64> = PrefetchingRunReader::spawn_scheduled(reader, 3, sched.handle())
+            .map(|r| r.unwrap().key)
+            .collect();
         assert_eq!(rest, (450..600).collect::<Vec<_>>());
         let snap = stats.snapshot();
         assert!(snap.blocks_skipped > 0, "whole-block skips should be counted");
@@ -967,23 +731,12 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_prefetching_reader_joins_its_thread() {
-        let be = MemoryBackend::new();
-        // Many small blocks so the prefetch thread is still mid-run (or
-        // blocked on its full channel) when the consumer walks away.
-        let meta = write_run(&be, "drop", 0..2000, 32, false);
-        let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
-        let mut pf = PrefetchingRunReader::spawn(reader, 1);
-        let first = pf.next().unwrap().unwrap();
-        assert_eq!(first.key, 0);
-        drop(pf); // must not deadlock; Drop joins the thread
-    }
-
-    #[test]
-    fn dropping_a_scheduled_prefetcher_cancels_its_jobs() {
+    fn dropping_a_prefetching_reader_cancels_its_jobs() {
         let be = MemoryBackend::new();
         let sched = IoScheduler::new(1);
-        let meta = write_run(&be, "sdrop", 0..2000, 32, false);
+        // Many small blocks so the prefetch jobs are still mid-run when the
+        // consumer walks away.
+        let meta = write_run(&be, "sdrop", 0..2000, 32, None);
         let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
         let mut pf = PrefetchingRunReader::spawn_scheduled(reader, 1, sched.handle());
         let first = pf.next().unwrap().unwrap();
@@ -1003,28 +756,13 @@ mod tests {
     #[test]
     fn abandoned_pipelined_run_discards_the_object() {
         let be = MemoryBackend::new();
-        let mut w: RunWriter<u64> =
-            RunWriter::with_options(&be, "gone", SortOrder::Ascending, IoStats::new(), 64, true)
-                .unwrap();
-        for k in 0..100u64 {
-            w.append(&Row::key_only(k)).unwrap();
-        }
-        drop(w); // no finish: the pipeline must shut down and not leak
-                 // The object was never finished, so it must not be readable.
-        assert!(RunReader::<u64>::open_named(&be, "gone", IoStats::new()).is_err());
-    }
-
-    #[test]
-    fn abandoned_scheduled_run_discards_the_object() {
-        let be = MemoryBackend::new();
         let sched = IoScheduler::new(1);
         let mut w: RunWriter<u64> = RunWriter::with_io(
             &be,
-            "sgone",
+            "gone",
             SortOrder::Ascending,
             IoStats::new(),
             64,
-            true,
             Some(sched.handle()),
         )
         .unwrap();
@@ -1032,6 +770,6 @@ mod tests {
             w.append(&Row::key_only(k)).unwrap();
         }
         drop(w); // no finish: the job must drop the writer, discarding it
-        assert!(RunReader::<u64>::open_named(&be, "sgone", IoStats::new()).is_err());
+        assert!(RunReader::<u64>::open_named(&be, "gone", IoStats::new()).is_err());
     }
 }

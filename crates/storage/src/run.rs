@@ -183,8 +183,8 @@ pub struct RunWriter<K: SortKey> {
 }
 
 /// Where sealed blocks go: either the calling thread CRCs and writes them
-/// synchronously, or they are handed to a [`SpillPipeline`] writer thread
-/// (double-buffered, bounded backpressure — see `pipeline.rs`).
+/// synchronously, or they are handed to a [`SpillPipeline`] on a shared
+/// I/O pool (double-buffered, bounded backpressure — see `pipeline.rs`).
 enum BlockSink {
     Sync(Box<dyn crate::backend::SpillWriter>),
     Pipelined(SpillPipeline),
@@ -198,7 +198,7 @@ impl<K: SortKey> RunWriter<K> {
         order: SortOrder,
         stats: IoStats,
     ) -> Result<Self> {
-        Self::with_options(backend, name, order, stats, DEFAULT_BLOCK_BYTES, false)
+        Self::with_io(backend, name, order, stats, DEFAULT_BLOCK_BYTES, None)
     }
 
     /// Starts a run with a custom block payload target (tests use small
@@ -210,34 +210,20 @@ impl<K: SortKey> RunWriter<K> {
         stats: IoStats,
         block_target: usize,
     ) -> Result<Self> {
-        Self::with_options(backend, name, order, stats, block_target, false)
+        Self::with_io(backend, name, order, stats, block_target, None)
     }
 
-    /// Starts a run with a custom block target and, when `pipelined`, a
-    /// background writer thread that CRCs and writes sealed blocks while
-    /// the caller keeps appending into the next one.
-    pub fn with_options(
-        backend: &dyn StorageBackend,
-        name: impl Into<String>,
-        order: SortOrder,
-        stats: IoStats,
-        block_target: usize,
-        pipelined: bool,
-    ) -> Result<Self> {
-        Self::with_io(backend, name, order, stats, block_target, pipelined, None)
-    }
-
-    /// As [`RunWriter::with_options`], but a pipelined writer submits its
-    /// block writes to `scheduler`'s shared worker pool (when given)
-    /// instead of spawning a dedicated thread.
+    /// Starts a run with a custom block target. With a `pipeline` pool,
+    /// sealed blocks are CRC'd and written by jobs on that pool while the
+    /// caller keeps appending into the next one; without one, the caller
+    /// writes each block synchronously.
     pub fn with_io(
         backend: &dyn StorageBackend,
         name: impl Into<String>,
         order: SortOrder,
         stats: IoStats,
         block_target: usize,
-        pipelined: bool,
-        scheduler: Option<IoSchedulerHandle>,
+        pipeline: Option<IoSchedulerHandle>,
     ) -> Result<Self> {
         if block_target == 0 {
             return Err(Error::InvalidConfig("block target must be positive".into()));
@@ -247,25 +233,19 @@ impl<K: SortKey> RunWriter<K> {
         let mut header = Vec::with_capacity(8);
         header.extend_from_slice(&FILE_MAGIC.to_le_bytes());
         header.extend_from_slice(&FILE_VERSION.to_le_bytes());
-        let sink = if pipelined {
+        let sink = match pipeline {
             // The file header is written by the background side, so the
             // operator thread performs no storage request at all here.
-            match scheduler {
-                Some(handle) => BlockSink::Pipelined(SpillPipeline::spawn_scheduled(
-                    writer,
-                    header.clone(),
-                    stats.clone(),
-                    handle,
-                )),
-                None => BlockSink::Pipelined(SpillPipeline::spawn(
-                    writer,
-                    header.clone(),
-                    stats.clone(),
-                )),
+            Some(handle) => BlockSink::Pipelined(SpillPipeline::spawn_scheduled(
+                writer,
+                header.clone(),
+                stats.clone(),
+                handle,
+            )),
+            None => {
+                writer.write_all(&header)?;
+                BlockSink::Sync(writer)
             }
-        } else {
-            writer.write_all(&header)?;
-            BlockSink::Sync(writer)
         };
         Ok(RunWriter {
             name,
@@ -390,9 +370,10 @@ impl<K: SortKey> RunWriter<K> {
                 self.stats.record_io_wait(elapsed);
             }
             BlockSink::Pipelined(pipeline) => {
-                // Hand the sealed payload to the writer thread (it CRCs,
-                // frames, writes, and books the stats) and start filling a
-                // fresh buffer. Blocks only when ≥2 blocks are in flight.
+                // Hand the sealed payload to the pipeline (its pool job
+                // CRCs, frames, writes, and books the stats) and start
+                // filling a fresh buffer. Blocks only when ≥2 blocks are in
+                // flight.
                 let payload = std::mem::replace(
                     &mut self.block_buf,
                     Vec::with_capacity(self.block_target + 256),
@@ -443,7 +424,8 @@ impl<K: SortKey> RunWriter<K> {
             }
             BlockSink::Pipelined(pipeline) => {
                 // The pipeline writes the end marker, finishes the backend
-                // object, joins its thread, and surfaces any latched error.
+                // object, waits out its jobs, and surfaces any latched
+                // error.
                 pipeline.finish()?;
             }
         }
@@ -736,7 +718,7 @@ impl<K: SortKey> RunReader<K> {
     /// Drains the buffered rows, or reads and decodes the next block and
     /// returns it as one batch (rows plus prefix column); `Ok(None)` at end
     /// of run. This is both the merge loop's batched pull and the unit of
-    /// work a prefetch thread ships per channel message.
+    /// work one prefetch job decodes per step.
     pub fn next_batch(&mut self) -> Result<Option<RowBatch<K>>> {
         if !self.current.is_empty() {
             return Ok(Some(self.take_batch()));

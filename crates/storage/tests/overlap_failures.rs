@@ -1,23 +1,24 @@
-//! Failure and cancellation paths through the overlapped-I/O threads.
+//! Overlap accounting through the shared I/O pool under a sleeping
+//! throttle.
 //!
-//! Every test runs its body on a watchdog thread with a hard timeout: the
-//! failure mode these paths guard against is a *hang* (a pipeline or
-//! prefetch thread blocked forever on a channel), which a plain assert
-//! cannot catch.
+//! The test body runs on a watchdog thread with a hard timeout: a pipeline
+//! or prefetch job that never completes would otherwise hang the suite
+//! instead of failing it. The failure and cancellation paths of the same
+//! components are covered by `scheduler_failures.rs`.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
 use histok_storage::{
-    FaultBackend, FaultPlan, IoStats, MemoryBackend, PrefetchingRunReader, RunReader, RunWriter,
-    StorageBackend, ThrottleModel, ThrottledBackend,
+    IoScheduler, IoStats, MemoryBackend, PrefetchingRunReader, RunReader, RunWriter, ThrottleModel,
+    ThrottledBackend,
 };
-use histok_types::{Error, Result, Row, SortOrder};
+use histok_types::{Row, SortOrder};
 
 const TEST_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Runs `body` on its own thread and panics if it does not complete in
-/// time — converting a deadlocked I/O thread into a test failure.
+/// time — converting a deadlocked I/O job into a test failure.
 fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
@@ -30,173 +31,10 @@ fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
     }
 }
 
-fn write_run<B: StorageBackend>(
-    be: &B,
-    name: &str,
-    n: u64,
-    block_bytes: usize,
-    pipelined: bool,
-) -> histok_storage::RunMeta<u64> {
-    let mut w = RunWriter::with_options(
-        be,
-        name,
-        SortOrder::Ascending,
-        IoStats::new(),
-        block_bytes,
-        pipelined,
-    )
-    .unwrap();
-    for k in 0..n {
-        w.append(&Row::new(k, vec![k as u8; 16])).unwrap();
-    }
-    w.finish().unwrap()
-}
-
-#[test]
-fn backend_write_error_fails_pipelined_finish() {
-    with_watchdog(|| {
-        let be = FaultBackend::new(
-            MemoryBackend::new(),
-            FaultPlan { fail_write_after_bytes: Some(256), ..FaultPlan::none() },
-        );
-        let mut w: RunWriter<u64> =
-            RunWriter::with_options(&be, "boom", SortOrder::Ascending, IoStats::new(), 64, true)
-                .unwrap();
-        // The writer thread trips the fault on an early block; the error
-        // must surface on a later append or, at the latest, on finish —
-        // never as a panic or a hang.
-        let mut failed = false;
-        for k in 0..5_000u64 {
-            if w.append(&Row::new(k, vec![0u8; 16])).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        if !failed {
-            assert!(w.finish().is_err(), "injected write fault was swallowed");
-        }
-        assert!(be.fault_fired());
-    });
-}
-
-#[test]
-fn create_error_fails_pipelined_construction() {
-    with_watchdog(|| {
-        let be = FaultBackend::new(
-            MemoryBackend::new(),
-            FaultPlan { fail_create: true, ..FaultPlan::none() },
-        );
-        let r: Result<RunWriter<u64>> =
-            RunWriter::with_options(&be, "x", SortOrder::Ascending, IoStats::new(), 64, true);
-        assert!(r.is_err());
-    });
-}
-
-#[test]
-fn crc_corruption_surfaces_as_err_through_prefetch_and_fuses() {
-    with_watchdog(|| {
-        let be = FaultBackend::new(
-            MemoryBackend::new(),
-            // Past the file header (8) + first block, inside a later
-            // payload: some rows decode fine before the error arrives.
-            FaultPlan { corrupt_write_byte_at: Some(400), ..FaultPlan::none() },
-        );
-        let meta = write_run(&be, "corrupt", 500, 64, false);
-        assert!(be.fault_fired());
-        let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
-        let mut pf = PrefetchingRunReader::spawn(reader, 2);
-        let mut good = 0u64;
-        let mut err: Option<Error> = None;
-        for item in pf.by_ref() {
-            match item {
-                Ok(row) => {
-                    assert_eq!(row.key, good);
-                    good += 1;
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        assert!(matches!(err, Some(Error::Corrupt(_))), "got {err:?}");
-        assert!(good > 0, "corruption in a later block should leave earlier rows readable");
-        // Fused: after the error the iterator ends, it does not wrap around
-        // or hang on a dead channel.
-        assert!(pf.next().is_none());
-    });
-}
-
-#[test]
-fn read_error_mid_run_surfaces_through_prefetch() {
-    with_watchdog(|| {
-        let inner = MemoryBackend::new();
-        let meta = write_run(&inner, "readerr", 1_000, 64, true);
-        let be = FaultBackend::new(
-            inner,
-            FaultPlan { fail_read_after_bytes: Some(512), ..FaultPlan::none() },
-        );
-        let reader = RunReader::open(&be, &meta, IoStats::new()).unwrap();
-        let results: Vec<Result<Row<u64>>> = PrefetchingRunReader::spawn(reader, 3).collect();
-        assert!(results.last().unwrap().is_err());
-        assert!(results.iter().take(results.len() - 1).all(Result::is_ok));
-    });
-}
-
-#[test]
-fn dropping_prefetch_readers_mid_stream_joins_all_threads() {
-    with_watchdog(|| {
-        // A sleeping throttle keeps the prefetch threads genuinely busy in
-        // I/O when the consumer walks away after one row.
-        let model = ThrottleModel {
-            per_op: Duration::from_micros(200),
-            per_byte: Duration::ZERO,
-            sleep: true,
-        };
-        let be = ThrottledBackend::new(MemoryBackend::new(), model);
-        let mut readers = Vec::new();
-        for i in 0..4 {
-            let meta = write_run(&be, &format!("r{i}"), 2_000, 32, false);
-            readers.push(PrefetchingRunReader::spawn(
-                RunReader::open(&be, &meta, IoStats::new()).unwrap(),
-                1,
-            ));
-        }
-        for pf in &mut readers {
-            let first = pf.next().unwrap().unwrap();
-            assert_eq!(first.key, 0);
-        }
-        // Drop all four mid-run; each Drop must unblock and join its
-        // thread. The watchdog converts any leak-induced hang into a fail.
-        drop(readers);
-    });
-}
-
-#[test]
-fn pipelined_spill_under_sleeping_throttle_does_not_deadlock() {
-    with_watchdog(|| {
-        // Storage slower than compute: the bounded channel exerts
-        // backpressure on every block. The run must still complete and be
-        // byte-identical to the sync spill of the same rows.
-        let model = ThrottleModel {
-            per_op: Duration::from_micros(100),
-            per_byte: Duration::ZERO,
-            sleep: true,
-        };
-        let be = ThrottledBackend::new(MemoryBackend::new(), model);
-        let piped = write_run(&be, "bp-piped", 1_500, 64, true);
-        let sync = write_run(&be, "bp-sync", 1_500, 64, false);
-        assert_eq!(piped.bytes, sync.bytes);
-        assert_eq!(piped.blocks, sync.blocks);
-        let a: Vec<u64> =
-            RunReader::open(&be, &piped, IoStats::new()).unwrap().map(|r| r.unwrap().key).collect();
-        assert_eq!(a, (0..1_500).collect::<Vec<_>>());
-    });
-}
-
 #[test]
 fn io_wait_and_overlap_are_both_recorded_under_throttle() {
     with_watchdog(|| {
+        let sched = IoScheduler::new(1);
         let model = ThrottleModel {
             per_op: Duration::from_micros(100),
             per_byte: Duration::ZERO,
@@ -204,19 +42,25 @@ fn io_wait_and_overlap_are_both_recorded_under_throttle() {
         };
         let be = ThrottledBackend::new(MemoryBackend::new(), model);
         let stats = IoStats::new();
-        let mut w: RunWriter<u64> =
-            RunWriter::with_options(&be, "acct", SortOrder::Ascending, stats.clone(), 64, true)
-                .unwrap();
+        let mut w: RunWriter<u64> = RunWriter::with_io(
+            &be,
+            "acct",
+            SortOrder::Ascending,
+            stats.clone(),
+            64,
+            Some(sched.handle()),
+        )
+        .unwrap();
         for k in 0..400u64 {
             w.append(&Row::new(k, vec![0u8; 16])).unwrap();
-            // Compute work between appends: the writer thread drains its
+            // Compute work between appends: the pool worker drains the
             // queue while this thread is busy, so the throttle sleeps are
             // genuinely hidden and settle as overlapped time.
             std::thread::sleep(Duration::from_micros(60));
         }
         let meta = w.finish().unwrap();
         let snap = stats.snapshot();
-        // The writer thread slept in the throttle behind the producer's
+        // The pool worker slept in the throttle behind the producer's
         // compute: that latency is overlapped. The compute thread still
         // waited somewhere (at least the finish drain), and the two
         // counters never book the same nanoseconds twice.
@@ -227,8 +71,11 @@ fn io_wait_and_overlap_are_both_recorded_under_throttle() {
         // background side (overlapped) while the consumer does per-row
         // compute; the consumer only records its blocked waits.
         let before = stats.snapshot();
-        let pf =
-            PrefetchingRunReader::spawn(RunReader::open(&be, &meta, stats.clone()).unwrap(), 2);
+        let pf = PrefetchingRunReader::spawn_scheduled(
+            RunReader::open(&be, &meta, stats.clone()).unwrap(),
+            2,
+            sched.handle(),
+        );
         let mut read_rows = 0u64;
         for row in pf {
             row.unwrap();

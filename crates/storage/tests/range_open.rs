@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use histok_storage::{
-    IoStats, KeyRange, MemoryBackend, PrefetchingRunReader, RunCatalog, RunReader,
+    IoScheduler, IoStats, KeyRange, MemoryBackend, PrefetchingRunReader, RunCatalog, RunReader,
 };
 use histok_types::{Row, SortOrder};
 
@@ -138,7 +138,10 @@ fn prefetch_composes_with_a_range_scoped_reader() {
     let meta = cat.runs()[0].clone();
     let before = cat.stats().snapshot();
     let reader = cat.open_range(&meta, KeyRange::half_open(Some(200), Some(300))).unwrap();
-    let keys: Vec<u64> = PrefetchingRunReader::spawn(reader, 2).map(|r| r.unwrap().key).collect();
+    let sched = IoScheduler::new(1);
+    let keys: Vec<u64> = PrefetchingRunReader::spawn_scheduled(reader, 2, sched.handle())
+        .map(|r| r.unwrap().key)
+        .collect();
     assert_eq!(keys, (200..300).collect::<Vec<_>>());
     // Prefetch must start at the seek point: the prefix blocks are
     // skip-booked, never read.

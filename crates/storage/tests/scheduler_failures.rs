@@ -1,9 +1,8 @@
 //! Failure and cancellation paths through the shared I/O worker pool.
 //!
-//! The scheduled counterpart of `overlap_failures.rs`: every spill and
-//! prefetch here runs its background work as jobs on an [`IoScheduler`]
-//! instead of a dedicated thread, and every test body runs under a
-//! watchdog with a hard timeout — the failure mode these paths guard
+//! Every spill and prefetch here runs its background work as jobs on an
+//! [`IoScheduler`], and every test body runs under a watchdog with a hard
+//! timeout — the failure mode these paths guard
 //! against is a *hang* (a job that never completes, a consumer blocked on
 //! a cancelled source, a worker pool wedged by a gate), which a plain
 //! assert cannot catch.
@@ -67,7 +66,6 @@ fn write_run_scheduled(
         SortOrder::Ascending,
         IoStats::new(),
         block_bytes,
-        true,
         Some(sched.handle()),
     )
     .unwrap();
@@ -91,7 +89,6 @@ fn scheduled_write_error_fails_finish_and_leaks_no_jobs() {
             SortOrder::Ascending,
             IoStats::new(),
             64,
-            true,
             Some(sched.handle()),
         )
         .unwrap();
@@ -129,7 +126,6 @@ fn scheduled_create_error_fails_construction() {
             SortOrder::Ascending,
             IoStats::new(),
             64,
-            true,
             Some(sched.handle()),
         );
         assert!(r.is_err());
@@ -241,15 +237,9 @@ fn scheduled_spill_under_sleeping_throttle_matches_sync_bytes() {
         };
         let be = ThrottledBackend::new(MemoryBackend::new(), model);
         let piped = write_run_scheduled(&be, &sched, "bp-piped", 1_500, 64);
-        let mut sync: RunWriter<u64> = RunWriter::with_options(
-            &be,
-            "bp-sync",
-            SortOrder::Ascending,
-            IoStats::new(),
-            64,
-            false,
-        )
-        .unwrap();
+        let mut sync: RunWriter<u64> =
+            RunWriter::with_block_bytes(&be, "bp-sync", SortOrder::Ascending, IoStats::new(), 64)
+                .unwrap();
         for k in 0..1_500u64 {
             sync.append(&Row::new(k, vec![k as u8; 16])).unwrap();
         }
@@ -325,7 +315,6 @@ fn backend_gate_limits_in_flight_jobs_without_wedging_the_pool() {
             SortOrder::Ascending,
             IoStats::new(),
             64,
-            true,
             Some(handle.clone()),
         )
         .unwrap();

@@ -1,8 +1,14 @@
 //! Configuration of the top-k operators.
 
+use std::sync::Arc;
+
 use histok_sort::run_gen::ResiduePolicy;
-use histok_sort::{BudgetHandle, MemoryBudget, MergeConfig, MergePolicy};
-use histok_types::{AggregateOp, Error, Result};
+use histok_sort::{
+    BudgetHandle, CmpStats, ExternalSorter, FinalMergePlan, FoldSpec, MemoryBudget, MergeConfig,
+    MergePolicy, MergeTuning,
+};
+use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
+use histok_types::{AggregateOp, Error, Result, SortKey, SortOrder, SortSpec};
 
 use crate::sizing::SizingPolicy;
 
@@ -15,27 +21,6 @@ pub enum RunGenKind {
     /// Quicksort load-sort-store runs (PostgreSQL-style; also what the
     /// §3.2 analysis assumes).
     LoadSortStore,
-}
-
-/// How run generation executes: row-at-a-time comparison sorting, or the
-/// batched radix sort over normalized key prefixes
-/// ([`histok_sort::BatchSort`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunGenMode {
-    /// Decide by key width: when the configured strategy is
-    /// [`RunGenKind::LoadSortStore`] and the key's 8-byte normalized
-    /// prefix is exact (integers, `F64Key`), use the radix batch sort —
-    /// same flush points, same run contents, no comparator on the hot
-    /// path. Replacement selection keeps its pipelined heap (its run
-    /// shape — ~2× memory, run-size caps — is the strategy).
-    #[default]
-    Adaptive,
-    /// Always the comparison-based strategy named by
-    /// [`TopKConfig::run_generation`].
-    Comparison,
-    /// Always the radix batch sort, regardless of strategy or key width.
-    /// Overrides [`RunGenKind`]; run-size caps do not apply.
-    Batch,
 }
 
 /// Tunables for [`crate::HistogramTopK`] (and, where applicable, the
@@ -53,11 +38,11 @@ pub struct TopKConfig {
     /// Emit tail buckets at run end (strictly more information than the
     /// paper's idealized model; ablation switch).
     pub tail_buckets: bool,
-    /// Run-generation strategy.
+    /// Run-generation strategy. Load-sort-store over keys whose 8-byte
+    /// normalized prefix is exact (integers, `F64Key`) runs as the radix
+    /// batch sort ([`histok_sort::BatchSort`]): same flush points, same
+    /// run contents, no comparator on the hot path.
     pub run_generation: RunGenKind,
-    /// Run-generation execution mode (comparison vs. batched radix); see
-    /// [`RunGenMode`].
-    pub run_gen_mode: RunGenMode,
     /// Cap runs at `offset + limit` rows (the [Graefe'08] optimization).
     pub limit_run_size: bool,
     /// Merge fan-in and intermediate-run selection policy.
@@ -170,7 +155,6 @@ impl Default for TopKConfig {
             histogram_memory: crate::cutoff::DEFAULT_FILTER_MEMORY,
             tail_buckets: true,
             run_generation: RunGenKind::default(),
-            run_gen_mode: RunGenMode::default(),
             limit_run_size: true,
             // The paper's algorithm performs "one pass over the input to
             // generate sorted runs and then merges the runs until the top k
@@ -249,6 +233,91 @@ impl TopKConfig {
         match &self.budget_lease {
             Some(handle) => handle.limit(),
             None => self.memory_budget,
+        }
+    }
+
+    /// The merge knobs every merge step of an operator built from this
+    /// configuration receives: offset-value coding, read-ahead and batch
+    /// size from the config, plus the operator's comparison counters, I/O
+    /// pool and (in dedup/aggregate mode) fold instruction.
+    pub fn merge_tuning(
+        &self,
+        stats: &CmpStats,
+        io_scheduler: &IoScheduler,
+        fold: Option<FoldSpec>,
+    ) -> MergeTuning {
+        MergeTuning {
+            ovc: self.ovc_enabled,
+            stats: Some(stats.clone()),
+            readahead_blocks: self.readahead_blocks,
+            io_scheduler: Some(io_scheduler.clone()),
+            batch_rows: self.batch_rows,
+            fold,
+        }
+    }
+
+    /// A run catalog for an operator's spills: block size and spill
+    /// pipeline from the config, writes on `io_scheduler`'s pool.
+    pub fn run_catalog<K: SortKey>(
+        &self,
+        backend: Arc<dyn StorageBackend>,
+        prefix: &str,
+        order: SortOrder,
+        stats: IoStats,
+        io_scheduler: &IoScheduler,
+    ) -> Arc<RunCatalog<K>> {
+        Arc::new(
+            RunCatalog::new(backend, RunCatalog::<K>::unique_prefix(prefix), order, stats)
+                .with_block_bytes(self.block_bytes)
+                .with_spill_pipeline(self.spill_pipeline)
+                .with_io_scheduler(Some(io_scheduler.clone())),
+        )
+    }
+
+    /// A full external sort configured like the operators: lease-aware
+    /// workspace, block size, spill pipeline, merge threads, cascade
+    /// threads and merge tuning from the config, with one fresh (or the
+    /// injected) I/O pool. The fan-in stays the sorter's full-sort default.
+    pub fn external_sorter<K: SortKey>(
+        &self,
+        backend: Arc<dyn StorageBackend>,
+        order: SortOrder,
+        stats: IoStats,
+        cmp_stats: &CmpStats,
+    ) -> ExternalSorter<K> {
+        let io_scheduler = self.io_scheduler();
+        ExternalSorter::with_memory_budget(backend, order, self.make_budget(), stats)
+            .with_block_bytes(self.block_bytes)
+            .with_spill_pipeline(self.spill_pipeline)
+            .with_merge_threads(self.merge_threads)
+            .with_partition_min_rows(self.partition_min_rows)
+            .with_cascade_threads(self.cascade_threads)
+            .with_tuning(self.merge_tuning(cmp_stats, &io_scheduler, None))
+            // After with_tuning: sets both the catalog's spill pool and
+            // the tuning's read-ahead pool.
+            .with_io_scheduler(Some(io_scheduler))
+    }
+
+    /// The final-merge plan of a top-k query under this configuration:
+    /// fan-in, cascade and merge threads from the config; intermediate
+    /// merges stop after `offset + limit` rows or at `cutoff`, and the
+    /// partition plan is clipped at `cutoff` when `clip_at_cutoff` holds.
+    pub fn final_merge_plan<K: SortKey>(
+        &self,
+        spec: &SortSpec,
+        tuning: MergeTuning,
+        cutoff: Option<K>,
+        clip_at_cutoff: bool,
+    ) -> FinalMergePlan<K> {
+        FinalMergePlan {
+            cascade_threads: self.cascade_threads,
+            merge_threads: self.merge_threads,
+            partition_min_rows: self.partition_min_rows,
+            limit: Some(spec.retained()),
+            cutoff,
+            clip_at_cutoff,
+            offset: spec.offset,
+            ..FinalMergePlan::new(self.merge, tuning)
         }
     }
 
@@ -332,12 +401,6 @@ impl TopKConfigBuilder {
     /// Chooses the run-generation strategy.
     pub fn run_generation(mut self, kind: RunGenKind) -> Self {
         self.config.run_generation = kind;
-        self
-    }
-
-    /// Chooses the run-generation execution mode; see [`RunGenMode`].
-    pub fn run_gen_mode(mut self, mode: RunGenMode) -> Self {
-        self.config.run_gen_mode = mode;
         self
     }
 
@@ -495,7 +558,6 @@ mod tests {
         assert_eq!(c.partition_min_rows, 8192);
         assert_eq!(c.cascade_threads, 1);
         assert_eq!(c.io_threads, 4);
-        assert_eq!(c.run_gen_mode, RunGenMode::Adaptive);
         assert_eq!(c.batch_rows, 1024);
         assert!(c.validate().is_ok());
     }
@@ -508,7 +570,6 @@ mod tests {
             .histogram_memory(4096)
             .tail_buckets(false)
             .run_generation(RunGenKind::LoadSortStore)
-            .run_gen_mode(RunGenMode::Batch)
             .limit_run_size(false)
             .fan_in(8)
             .merge_policy(MergePolicy::SmallestFirst)
@@ -530,7 +591,6 @@ mod tests {
         assert_eq!(c.sizing, SizingPolicy::TargetBuckets(9));
         assert!(!c.tail_buckets);
         assert_eq!(c.run_generation, RunGenKind::LoadSortStore);
-        assert_eq!(c.run_gen_mode, RunGenMode::Batch);
         assert!(!c.limit_run_size);
         assert_eq!(c.merge.fan_in, 8);
         assert!(!c.input_filter);

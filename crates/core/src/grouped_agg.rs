@@ -13,13 +13,13 @@
 
 use std::sync::Arc;
 
-use histok_sort::{CmpStats, ExternalSorter, FoldSpec, FoldStats, MergeTuning};
+use histok_sort::{CmpStats, ExternalSorter, FoldSpec, FoldStats};
 use histok_storage::{IoStats, StorageBackend};
 use histok_types::{
     AggregateOp, Aggregator, Bytes, Error, F64Key, KeyPair, Result, Row, SortKey, SortOrder,
 };
 
-use crate::config::{RunGenMode, TopKConfig};
+use crate::config::TopKConfig;
 use crate::metrics::OperatorMetrics;
 use crate::topk::RetainedHeap;
 
@@ -110,31 +110,10 @@ impl<K: SortKey> GroupedAggTopK<K> {
         let agg = op.aggregator();
         // Group keys are sorted ascending — any total order works, the
         // value ranking happens after the fold completes.
-        let mut sorter = ExternalSorter::with_memory_budget(
-            backend,
-            SortOrder::Ascending,
-            config.make_budget(),
-            stats.clone(),
-        )
-        .with_block_bytes(config.block_bytes)
-        .with_spill_pipeline(config.spill_pipeline)
-        .with_fan_in(config.merge.fan_in)
-        .with_merge_threads(config.merge_threads)
-        .with_partition_min_rows(config.partition_min_rows)
-        .with_cascade_threads(config.cascade_threads)
-        .with_tuning(MergeTuning {
-            ovc: config.ovc_enabled,
-            stats: Some(cmp_stats.clone()),
-            readahead_blocks: config.readahead_blocks,
-            io_scheduler: None,
-            batch_rows: config.batch_rows,
-            fold: None, // re-applied from with_fold at finish time
-        })
-        .with_io_scheduler(Some(config.io_scheduler()));
-        if matches!(config.run_gen_mode, RunGenMode::Batch) {
-            sorter = sorter.with_batch_run_gen(true);
-        }
-        sorter = sorter.with_fold(FoldSpec::new(agg.clone()).with_stats(fold_stats.clone()));
+        let sorter = config
+            .external_sorter(backend, SortOrder::Ascending, stats.clone(), &cmp_stats)
+            .with_fan_in(config.merge.fan_in)
+            .with_fold(FoldSpec::new(agg.clone()).with_stats(fold_stats.clone()));
         Ok(GroupedAggTopK {
             sorter: Some(sorter),
             agg,
@@ -221,8 +200,9 @@ mod tests {
     fn top_groups_by_count_spilling() {
         // Key k appears (k+1)*40 times, 0..10 — shuffled, with memory for
         // a fraction of the input so the sort spills. Batch run generation
-        // collapses every in-batch duplicate post-sort, so each spilled
-        // batch shrinks to at most the distinct-key count.
+        // (the default for u64 keys) collapses every in-batch duplicate
+        // post-sort, so each spilled batch shrinks to at most the
+        // distinct-key count.
         let mut keys = Vec::new();
         for k in 0..10u64 {
             keys.extend(std::iter::repeat_n(k, ((k + 1) * 40) as usize));
@@ -232,7 +212,6 @@ mod tests {
         let cfg = TopKConfig::builder()
             .memory_budget(80 * row_bytes)
             .block_bytes(1024)
-            .run_gen_mode(RunGenMode::Batch)
             .aggregate(AggregateOp::Count)
             .build()
             .unwrap();

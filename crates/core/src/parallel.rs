@@ -16,20 +16,16 @@ use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use histok_sort::run_gen::{ReplacementSelection, RunGenerator};
-use histok_sort::{
-    merge_sources_partitioned, merge_sources_tuned, plan_merges_cascade, plan_partitions,
-    run_overlaps, split_sorted_rows, CascadeStats, CmpStats, MergeSource, MergeTuning,
-    PartitionCounters, SpillObserver,
-};
-use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
-use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
+use histok_sort::{final_merge, SpillObserver};
+use histok_storage::{IoScheduler, RunCatalog, StorageBackend};
+use histok_types::{Error, Phase, Result, Row, SortKey, SortSpec};
 
 use crate::config::TopKConfig;
 use crate::cutoff::{filter_from_config, CutoffFilter};
 use crate::histogram::HistogramBuilder;
 use crate::metrics::OperatorMetrics;
 use crate::sizing::SizingPolicy;
-use crate::topk::{RowStream, SpecStream, TimedStream, TopKOperator};
+use crate::topk::{PipelineStats, RowStream, TopKOperator};
 
 /// The shared filter: the real [`CutoffFilter`] behind a mutex plus a
 /// published copy of the cutoff key for cheap reads. Only the *priority
@@ -38,10 +34,10 @@ use crate::topk::{RowStream, SpecStream, TimedStream, TopKOperator};
 struct Shared<K: SortKey> {
     filter: Mutex<CutoffFilter<K>>,
     published: RwLock<Option<K>>,
-    eliminated_input: std::sync::atomic::AtomicU64,
-    eliminated_spill: std::sync::atomic::AtomicU64,
+    eliminated_input: AtomicU64,
+    eliminated_spill: AtomicU64,
     /// Times the published cutoff actually changed (≤ buckets inserted).
-    republishes: std::sync::atomic::AtomicU64,
+    republishes: AtomicU64,
 }
 
 impl<K: SortKey> Shared<K> {
@@ -65,7 +61,7 @@ impl<K: SortKey> Shared<K> {
         drop(f);
         if before != after {
             *self.published.write() = after;
-            self.republishes.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.republishes.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -97,7 +93,7 @@ impl<K: SortKey> SpillObserver<K> for SharedObserver<K> {
         }
         let kill = self.shared.eliminate(key, &self.spec);
         if kill {
-            self.shared.eliminated_spill.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.shared.eliminated_spill.fetch_add(1, Ordering::Relaxed);
         }
         kill
     }
@@ -120,25 +116,10 @@ struct WorkerOutput<K: SortKey> {
     peak_bytes: usize,
 }
 
-/// Keeps every worker's run catalog alive while the final stream drains.
-struct HoldAll<K: SortKey, I> {
-    _catalogs: Vec<Arc<RunCatalog<K>>>,
-    inner: I,
-}
-
-impl<K: SortKey, I: Iterator<Item = Result<Row<K>>>> Iterator for HoldAll<K, I> {
-    type Item = Result<Row<K>>;
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
 /// Multi-threaded top-k sharing one histogram filter across workers.
 pub struct ParallelTopK<K: SortKey> {
     spec: SortSpec,
     config: TopKConfig,
-    backend: Arc<dyn StorageBackend>,
-    stats: IoStats,
     shared: Arc<Shared<K>>,
     senders: Vec<Sender<Row<K>>>,
     handles: Vec<JoinHandle<Result<WorkerOutput<K>>>>,
@@ -149,14 +130,9 @@ pub struct ParallelTopK<K: SortKey> {
     input_filter: bool,
     /// Summed per-worker workspace high-water marks, known after `finish`.
     peak_bytes: usize,
-    timer: PhaseTimer,
-    final_merge_ns: Arc<AtomicU64>,
-    /// Shared comparison counters: every worker's selection heap and the
-    /// final merge flush into the same handle.
-    cmp_stats: CmpStats,
-    merge_partitions: u64,
-    partition_counters: Option<PartitionCounters>,
-    cascade: CascadeStats,
+    /// I/O, phase and comparison counters: every worker's selection heap
+    /// and the final merge flush into the same handles.
+    stats: PipelineStats,
     /// One background-I/O pool shared by every worker's spills and the
     /// final merge.
     io_scheduler: IoScheduler,
@@ -191,19 +167,18 @@ impl<K: SortKey> ParallelTopK<K> {
                 "dedup/aggregate queries are not supported by the parallel operator".into(),
             ));
         }
-        let stats = IoStats::new();
+        let stats = PipelineStats::new(backend.clone(), Phase::RunGeneration);
         // The same construction as the serial operator: honors
         // filter_enabled, approx_slack, spill_filter, sizing, tail buckets.
         let filter: CutoffFilter<K> = filter_from_config(&spec, &config);
         let shared = Arc::new(Shared {
             filter: Mutex::new(filter),
             published: RwLock::new(None),
-            eliminated_input: std::sync::atomic::AtomicU64::new(0),
-            eliminated_spill: std::sync::atomic::AtomicU64::new(0),
-            republishes: std::sync::atomic::AtomicU64::new(0),
+            eliminated_input: AtomicU64::new(0),
+            eliminated_spill: AtomicU64::new(0),
+            republishes: AtomicU64::new(0),
         });
 
-        let cmp_stats = CmpStats::new();
         let input_filter = config.filter_enabled && config.input_filter;
         let spill_filter = config.filter_enabled && config.spill_filter;
         let effective_sizing =
@@ -216,18 +191,13 @@ impl<K: SortKey> ParallelTopK<K> {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (tx, rx) = bounded::<Row<K>>(4096);
-            let catalog = Arc::new(
-                RunCatalog::new(
-                    backend.clone(),
-                    RunCatalog::<K>::unique_prefix("ptopk"),
-                    spec.order,
-                    stats.clone(),
-                )
-                .with_block_bytes(config.block_bytes)
-                .with_spill_pipeline(config.spill_pipeline)
-                .with_io_scheduler(Some(io_scheduler.clone())),
+            let worker_catalog = config.run_catalog(
+                backend.clone(),
+                "ptopk",
+                spec.order,
+                stats.io.clone(),
+                &io_scheduler,
             );
-            let worker_catalog = catalog.clone();
             let shared_for_worker = shared.clone();
             // Each worker charges its own counter; a shared lease handle
             // (if any) still governs every worker's limit.
@@ -238,7 +208,7 @@ impl<K: SortKey> ParallelTopK<K> {
             let policy = effective_sizing;
             let emit_tail = config.tail_buckets;
             let worker_ovc = config.ovc_enabled;
-            let worker_cmp_stats = cmp_stats.clone();
+            let worker_cmp_stats = stats.cmp.clone();
             let handle = std::thread::spawn(move || -> Result<WorkerOutput<K>> {
                 let mut gen = ReplacementSelection::with_budget(worker_catalog.clone(), budget)
                     .with_ovc(worker_ovc, Some(worker_cmp_stats));
@@ -259,9 +229,7 @@ impl<K: SortKey> ParallelTopK<K> {
                     // cutoff; rows were already screened by the pusher but
                     // the filter may have sharpened in flight.
                     if input_filter && shared_for_worker.eliminate(&row.key, &worker_spec) {
-                        shared_for_worker
-                            .eliminated_input
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        shared_for_worker.eliminated_input.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     gen.push(row, &mut obs)?;
@@ -277,7 +245,6 @@ impl<K: SortKey> ParallelTopK<K> {
         Ok(ParallelTopK {
             spec,
             config,
-            backend,
             stats,
             shared,
             senders,
@@ -287,25 +254,8 @@ impl<K: SortKey> ParallelTopK<K> {
             finished: false,
             input_filter,
             peak_bytes: 0,
-            timer: PhaseTimer::started(Phase::RunGeneration),
-            final_merge_ns: Arc::new(AtomicU64::new(0)),
-            cmp_stats,
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
             io_scheduler,
         })
-    }
-
-    fn merge_tuning(&self) -> MergeTuning {
-        MergeTuning {
-            ovc: self.config.ovc_enabled,
-            stats: Some(self.cmp_stats.clone()),
-            readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: Some(self.io_scheduler.clone()),
-            batch_rows: self.config.batch_rows,
-            fold: None,
-        }
     }
 
     /// Offers one row (round-robin across workers). Rows past the shared
@@ -316,7 +266,7 @@ impl<K: SortKey> ParallelTopK<K> {
         }
         self.rows_in += 1;
         if self.input_filter && self.shared.eliminate(&row.key, &self.spec) {
-            self.shared.eliminated_input.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.shared.eliminated_input.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
         let i = self.next_worker;
@@ -347,130 +297,29 @@ impl<K: SortKey> ParallelTopK<K> {
             self.peak_bytes += out.peak_bytes;
             outputs.push(out);
         }
-        let cutoff = self.shared.filter.lock().cutoff().cloned();
-        let retained = self.spec.retained();
-        let tuning = self.merge_tuning();
-        // Plan each worker's final merge once up front; the plans drive
-        // either the partitioned or the serial assembly below.
-        let mut plans = Vec::with_capacity(outputs.len());
-        let mut est_rows = 0u64;
-        for out in &outputs {
-            let (final_runs, cascade) = plan_merges_cascade(
-                &out.catalog,
-                &self.config.merge,
-                Some(retained),
-                cutoff.as_ref(),
-                &tuning,
-                self.config.cascade_threads,
-            )?;
-            self.cascade = self.cascade.merged(&cascade);
-            est_rows += final_runs.iter().map(|m| m.rows).sum::<u64>();
-            est_rows += out.residue.iter().map(|s| s.len() as u64).sum::<u64>();
-            plans.push(final_runs);
-        }
-        // Range-partition the final merge across every worker's runs when
-        // configured and the input is large enough. The cutoff clips the
-        // plan only in exact mode: with approximation slack the filter
-        // proves fewer than `retained` rows at or below it.
-        if self.config.merge_threads >= 2 && est_rows >= self.config.partition_min_rows.max(1) {
-            let clip = if self.config.approx_slack == 0.0 { cutoff.as_ref() } else { None };
-            let all_runs: Vec<_> = plans.iter().flatten().cloned().collect();
-            let ranges =
-                plan_partitions(&all_runs, self.spec.order, self.config.merge_threads, clip);
-            if ranges.len() >= 2 {
-                let scheduler = tuning.io_scheduler.as_ref().map(|s| s.for_backend(&self.backend));
-                let mut partitions: Vec<Vec<MergeSource<K>>> =
-                    (0..ranges.len()).map(|_| Vec::new()).collect();
-                let mut catalogs = Vec::with_capacity(outputs.len());
-                // Source order within each partition mirrors the serial
-                // assembly (worker 0's runs, worker 0's residue, worker
-                // 1's runs, ...) so loser-tree tie-breaks agree.
-                for (out, final_runs) in outputs.into_iter().zip(plans.iter()) {
-                    for meta in final_runs {
-                        for (i, range) in ranges.iter().enumerate() {
-                            if run_overlaps(meta, range, self.spec.order) {
-                                let reader = out.catalog.open_range(meta, range.clone())?;
-                                partitions[i].push(MergeSource::from_reader_scheduled(
-                                    reader,
-                                    tuning.readahead_blocks,
-                                    scheduler.clone(),
-                                ));
-                            }
-                        }
-                    }
-                    for seq in out.residue {
-                        for (i, part) in
-                            split_sorted_rows(seq, &ranges, self.spec.order).into_iter().enumerate()
-                        {
-                            if !part.is_empty() {
-                                partitions[i].push(MergeSource::Memory(part.into_iter()));
-                            }
-                        }
-                    }
-                    catalogs.push(out.catalog);
-                }
-                let merge = merge_sources_partitioned(partitions, self.spec.order, &tuning)?;
-                self.merge_partitions = merge.partitions() as u64;
-                self.partition_counters = Some(merge.counters());
-                self.timer.stop();
-                return Ok(Box::new(TimedStream::new(
-                    HoldAll { _catalogs: catalogs, inner: SpecStream::new(merge, &self.spec) },
-                    self.final_merge_ns.clone(),
-                )));
-            }
-        }
-        let mut sources: Vec<MergeSource<K>> = Vec::new();
-        let mut catalogs = Vec::with_capacity(outputs.len());
-        for (out, final_runs) in outputs.into_iter().zip(plans.iter()) {
-            for meta in final_runs {
-                sources.push(histok_sort::open_source(&out.catalog, meta, &tuning)?);
-            }
-            for seq in out.residue {
-                sources.push(MergeSource::Memory(seq.into_iter()));
-            }
-            catalogs.push(out.catalog);
-        }
-        let tree = merge_sources_tuned(sources, self.spec.order, &tuning)?;
-        self.timer.stop();
-        Ok(Box::new(TimedStream::new(
-            HoldAll { _catalogs: catalogs, inner: SpecStream::new(tree, &self.spec) },
-            self.final_merge_ns.clone(),
-        )))
+        // The cutoff clips the partition plan only in exact mode: with
+        // approximation slack the filter proves fewer than `retained` rows
+        // at or before it.
+        let plan = self.config.final_merge_plan(
+            &self.spec,
+            self.config.merge_tuning(&self.stats.cmp, &self.io_scheduler, None),
+            self.shared.filter.lock().cutoff().cloned(),
+            self.config.approx_slack == 0.0,
+        );
+        let parts = outputs.into_iter().map(|out| (out.catalog, out.residue)).collect();
+        let stream = final_merge(parts, &plan)?;
+        Ok(self.stats.merged_output(stream, &self.spec))
     }
 
     /// Aggregated metrics.
     pub fn metrics(&self) -> OperatorMetrics {
-        let filter = self.shared.filter.lock().metrics();
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
-        let mut phases = self.timer.snapshot();
-        phases.spill_write_ns = io.write_latency.total_ns;
-        phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);
         OperatorMetrics {
             rows_in: self.rows_in,
-            eliminated_at_input: self
-                .shared
-                .eliminated_input
-                .load(std::sync::atomic::Ordering::Relaxed),
-            eliminated_at_spill: self
-                .shared
-                .eliminated_spill
-                .load(std::sync::atomic::Ordering::Relaxed),
-            io,
-            filter,
-            spilled: io.runs_created > 0,
+            eliminated_at_input: self.shared.eliminated_input.load(Ordering::Relaxed),
+            eliminated_at_spill: self.shared.eliminated_spill.load(Ordering::Relaxed),
+            filter: self.shared.filter.lock().metrics(),
             peak_memory_bytes: self.peak_bytes,
-            early_merges: 0,
-            cmp: self.cmp_stats.snapshot(),
-            phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
-            ..Default::default()
+            ..self.stats.metrics()
         }
     }
 }
@@ -718,15 +567,38 @@ mod tests {
     }
 
     #[test]
+    fn serial_final_merge_drains_in_batches() {
+        let keys = shuffled(12_000, 28);
+        let row_bytes = histok_sort::row_footprint(&Row::key_only(0u64));
+        let cfg = TopKConfig::builder()
+            .memory_budget(100 * row_bytes)
+            .block_bytes(1024)
+            .merge_threads(1)
+            .build()
+            .unwrap();
+        let mut op: ParallelTopK<u64> =
+            ParallelTopK::new(SortSpec::ascending(500), cfg, MemoryBackend::new(), 2).unwrap();
+        for &k in &keys {
+            op.push(Row::key_only(k)).unwrap();
+        }
+        let out: Vec<u64> = op.finish().unwrap().map(|r| r.unwrap().key).collect();
+        assert_eq!(out, (0..500).collect::<Vec<_>>());
+        let m = op.metrics();
+        assert!(m.spilled);
+        assert_eq!(m.merge_partitions, 1);
+        assert!(m.cmp.merge_batches > 0, "the serial final merge must run through BatchedMerge");
+    }
+
+    #[test]
     fn cutoff_republishes_only_when_it_moves() {
         use crate::histogram::Bucket;
         use std::sync::atomic::Ordering as AtomicOrdering;
         let shared: Shared<u64> = Shared {
             filter: Mutex::new(CutoffFilter::new(10, histok_types::SortOrder::Ascending)),
             published: RwLock::new(None),
-            eliminated_input: std::sync::atomic::AtomicU64::new(0),
-            eliminated_spill: std::sync::atomic::AtomicU64::new(0),
-            republishes: std::sync::atomic::AtomicU64::new(0),
+            eliminated_input: AtomicU64::new(0),
+            eliminated_spill: AtomicU64::new(0),
+            republishes: AtomicU64::new(0),
         };
         // First bucket proving k rows establishes (and publishes) the cutoff.
         shared.insert_bucket(Bucket::new(100u64, 10));

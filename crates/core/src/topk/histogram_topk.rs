@@ -9,27 +9,13 @@
 //! spill time (line 11) — so most of the input never reaches secondary
 //! storage even though `k` exceeds memory.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use histok_sort::SpillObserver;
+use histok_types::{Result, SortKey, SortSpec};
 
-#[cfg(test)]
-use histok_sort::run_gen::ResiduePolicy;
-use histok_sort::run_gen::{BatchSort, LoadSortStore, ReplacementSelection, RunGenerator};
-use histok_sort::{
-    merge_runs_partitioned, merge_sources_tuned, plan_merges_cascade, BatchedMerge, CascadeStats,
-    CmpStats, FoldSpec, FoldStats, LoserTree, MergeSource, MergeTuning, PartitionAttempt,
-    PartitionCounters,
-};
-use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
-use histok_types::{Aggregator, Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
-
-use crate::config::{RunGenKind, RunGenMode, TopKConfig};
-use crate::cutoff::{CutoffFilter, DistinctVerdict, FilterMetrics};
+use crate::config::TopKConfig;
+use crate::cutoff::{filter_from_config, CutoffFilter, DistinctVerdict};
 use crate::metrics::OperatorMetrics;
-use crate::topk::{
-    already_finished, FoldedStore, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
-    TopKOperator,
-};
+use crate::topk::pipeline::{ExternalTopK, FilterPolicy, Screen};
 
 /// The histogram-guided adaptive top-k operator (the paper's contribution).
 ///
@@ -50,486 +36,80 @@ use crate::topk::{
 /// assert!(op.metrics().rows_spilled() < 10_000); // most rows never hit storage
 /// # Ok::<(), histok_types::Error>(())
 /// ```
-pub struct HistogramTopK<K: SortKey> {
-    spec: SortSpec,
-    config: TopKConfig,
-    backend: Arc<dyn StorageBackend>,
-    stats: IoStats,
-    state: State<K>,
-    rows_in: u64,
-    eliminated_at_input: u64,
-    peak_bytes: usize,
-    /// Filter metrics frozen at finish time.
-    final_filter: Option<FilterMetrics>,
-    spilled: bool,
-    /// Phase clock: one `Instant` pair per phase transition.
-    timer: PhaseTimer,
-    /// Final-merge nanoseconds, filled in by the [`TimedStream`] wrapper
-    /// when the output stream is dropped.
-    final_merge_ns: Arc<AtomicU64>,
-    /// Shared comparison counters the sort structures flush into.
-    cmp_stats: CmpStats,
-    /// Key ranges the final merge ran across (1 = serial).
-    merge_partitions: u64,
-    /// Per-partition row counters when the final merge went parallel.
-    partition_counters: Option<PartitionCounters>,
-    /// Intermediate cascade-merge pass counters.
-    cascade: CascadeStats,
-    /// Shared background-I/O pool, built once from `config.io_threads`
-    /// and reused by every spill and merge this operator performs.
-    io_scheduler: IoScheduler,
-    /// Fold counters every pipeline component flushes into; zero unless
-    /// the query runs in dedup/aggregate mode.
-    fold_stats: FoldStats,
-    /// The aggregator for fold mode (`None` = plain top-k).
-    agg: Option<Arc<dyn Aggregator>>,
+pub type HistogramTopK<K> = ExternalTopK<K, HistogramPolicy<K>>;
+
+/// The §3 filter policy: a [`CutoffFilter`] over per-run histograms (or,
+/// for `DISTINCT`, an exact distinct-key tracker) supplies the cutoff.
+pub struct HistogramPolicy<K: SortKey> {
+    filter: CutoffFilter<K>,
+    /// Input elimination (Algorithm 1 line 4) is on: the filter is enabled
+    /// and the query does not fold value aggregates, whose every duplicate
+    /// must reach its group's accumulator (DESIGN.md §14).
+    screen_input: bool,
+    /// The cutoff proves `retained` rows (no approximation slack).
+    exact: bool,
 }
 
-enum State<K: SortKey> {
-    /// Phase 1: plain in-memory priority queue.
-    InMemory(MemStore<K>),
-    /// Phase 2: run generation guarded by the cutoff filter.
-    External(Box<External<K>>),
-    /// Output has been produced.
-    Finished,
-}
+impl<K: SortKey> FilterPolicy<K> for HistogramPolicy<K> {
+    const ALGORITHM: &'static str = "histogram-topk";
+    const RUN_PREFIX: &'static str = "htopk";
 
-/// Phase-1 store: a plain retained heap, or the folding group store when
-/// the query runs in dedup/aggregate mode.
-enum MemStore<K: SortKey> {
-    Heap(RetainedHeap<K>),
-    Folded(FoldedStore<K>),
-}
+    fn new(spec: &SortSpec, config: &TopKConfig) -> Result<Self> {
+        let filter = filter_from_config(spec, config);
+        let screen_input = config.filter_enabled
+            && config.input_filter
+            && (config.fold_op().is_none() || filter.distinct_mode());
+        Ok(HistogramPolicy { filter, screen_input, exact: config.approx_slack == 0.0 })
+    }
 
-impl<K: SortKey> MemStore<K> {
-    fn bytes(&self) -> usize {
-        match self {
-            MemStore::Heap(h) => h.bytes(),
-            MemStore::Folded(f) => f.bytes(),
+    fn screen(&mut self, key: &K) -> Screen {
+        if !self.screen_input {
+            return Screen::Admit;
+        }
+        if self.filter.distinct_mode() {
+            // Dedup mode (Algorithm 1 line 4 adapted to DISTINCT):
+            // duplicates of a tracked key fold into nothing — their
+            // representative is already in the pipeline — and keys
+            // strictly worse than `retained` known distinct keys die.
+            return match self.filter.observe_input(key) {
+                DistinctVerdict::Admit => Screen::Admit,
+                DistinctVerdict::Duplicate => Screen::Duplicate,
+                DistinctVerdict::Worse => Screen::Eliminate,
+            };
+        }
+        if self.filter.eliminate(key) {
+            Screen::Eliminate
+        } else {
+            Screen::Admit
         }
     }
 
-    fn is_full(&self) -> bool {
-        match self {
-            MemStore::Heap(h) => h.is_full(),
-            MemStore::Folded(f) => f.is_full(),
-        }
+    fn observer(&mut self) -> &mut dyn SpillObserver<K> {
+        &mut self.filter
     }
 
     fn cutoff(&self) -> Option<&K> {
-        match self {
-            MemStore::Heap(h) => h.cutoff(),
-            MemStore::Folded(f) => f.cutoff(),
-        }
+        self.filter.cutoff()
     }
 
-    fn offer(&mut self, row: Row<K>) -> Offer {
-        match self {
-            MemStore::Heap(h) => h.offer(row),
-            MemStore::Folded(f) => f.offer(row),
-        }
+    fn clip_at_cutoff(&self) -> bool {
+        self.exact
     }
 
-    fn drain_unordered(&mut self) -> Vec<Row<K>> {
-        match self {
-            MemStore::Heap(h) => h.drain_unordered(),
-            MemStore::Folded(f) => f.drain_unordered(),
-        }
-    }
-
-    fn into_sorted(self) -> Vec<Row<K>> {
-        match self {
-            MemStore::Heap(h) => h.into_sorted(),
-            MemStore::Folded(f) => f.into_sorted(),
-        }
-    }
-}
-
-struct External<K: SortKey> {
-    catalog: Arc<RunCatalog<K>>,
-    gen: Box<dyn RunGenerator<K>>,
-    filter: CutoffFilter<K>,
-}
-
-impl<K: SortKey> HistogramTopK<K> {
-    /// Creates the operator. `backend` receives any spilled runs.
-    pub fn new(
-        spec: SortSpec,
-        config: TopKConfig,
-        backend: impl StorageBackend + 'static,
-    ) -> Result<Self> {
-        Self::with_arc(spec, config, Arc::new(backend))
-    }
-
-    /// As [`HistogramTopK::new`] with a shared backend handle.
-    pub fn with_arc(
-        spec: SortSpec,
-        config: TopKConfig,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Result<Self> {
-        spec.validate()?;
-        config.validate()?;
-        let fold_stats = FoldStats::new();
-        let agg = config.fold_op().map(|op| op.aggregator());
-        let store = match &agg {
-            Some(a) => MemStore::Folded(FoldedStore::new(
-                spec.retained(),
-                spec.order,
-                a.clone(),
-                fold_stats.clone(),
-            )),
-            None => MemStore::Heap(RetainedHeap::new(spec.retained(), spec.order)),
-        };
-        Ok(HistogramTopK {
-            state: State::InMemory(store),
-            io_scheduler: config.io_scheduler(),
-            fold_stats,
-            agg,
-            spec,
-            config,
-            backend,
-            stats: IoStats::new(),
-            rows_in: 0,
-            eliminated_at_input: 0,
-            peak_bytes: 0,
-            final_filter: None,
-            spilled: false,
-            timer: PhaseTimer::started(Phase::InMemory),
-            final_merge_ns: Arc::new(AtomicU64::new(0)),
-            cmp_stats: CmpStats::new(),
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
-        })
-    }
-
-    /// The current cutoff key: the in-memory queue's worst retained key, or
-    /// the histogram-derived cutoff once external.
-    pub fn cutoff(&self) -> Option<K> {
-        match &self.state {
-            State::InMemory(store) => store.cutoff().cloned(),
-            State::External(ext) => ext.filter.cutoff().cloned(),
-            State::Finished => None,
-        }
-    }
-
-    /// True once the operator has switched to external mode.
-    pub fn is_external(&self) -> bool {
-        matches!(self.state, State::External(_))
-    }
-
-    /// The operator's I/O counters.
-    pub fn io_stats(&self) -> &IoStats {
-        &self.stats
-    }
-
-    fn build_filter(&self) -> CutoffFilter<K> {
-        crate::cutoff::filter_from_config(&self.spec, &self.config)
-    }
-
-    /// The fold instruction every sort component receives in fold mode:
-    /// the aggregator plus the shared counters.
-    fn fold_spec(&self) -> Option<FoldSpec> {
-        self.agg.as_ref().map(|a| FoldSpec::new(a.clone()).with_stats(self.fold_stats.clone()))
-    }
-
-    fn merge_tuning(&self) -> MergeTuning {
-        MergeTuning {
-            ovc: self.config.ovc_enabled,
-            stats: Some(self.cmp_stats.clone()),
-            readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: Some(self.io_scheduler.clone()),
-            batch_rows: self.config.batch_rows,
-            fold: self.fold_spec(),
-        }
-    }
-
-    fn build_generator(&self, catalog: Arc<RunCatalog<K>>) -> Box<dyn RunGenerator<K>> {
-        let batched = match self.config.run_gen_mode {
-            RunGenMode::Batch => true,
-            RunGenMode::Comparison => false,
-            // Radix batching is a faster load-sort-store with identical
-            // run shapes; replacement selection's run shape *is* its
-            // strategy, so Adaptive leaves it alone.
-            RunGenMode::Adaptive => {
-                K::norm_prefix_is_exact() && self.config.run_generation == RunGenKind::LoadSortStore
-            }
-        };
-        // Lease-aware budgets: when the config carries a `budget_lease`,
-        // every generator reads its limit through the shared handle, so an
-        // admission controller can resize a running query's workspace.
-        let mut gen: Box<dyn RunGenerator<K>> = if batched {
-            Box::new(BatchSort::with_budget(catalog, self.config.make_budget()))
-        } else {
-            match self.config.run_generation {
-                RunGenKind::ReplacementSelection => {
-                    let mut gen =
-                        ReplacementSelection::with_budget(catalog, self.config.make_budget())
-                            .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
-                    if self.config.limit_run_size {
-                        gen = gen.with_run_limit(self.spec.retained());
-                    }
-                    Box::new(gen)
-                }
-                RunGenKind::LoadSortStore => {
-                    Box::new(LoadSortStore::with_budget(catalog, self.config.make_budget()))
-                }
-            }
-        };
-        // Fold mode: duplicates collapse inside run generation where the
-        // generator supports it; generators that ignore the hint still
-        // yield deduplicated output because every merge duel folds too.
-        gen.set_fold(self.fold_spec());
-        gen
-    }
-
-    /// Leaves phase 1: every retained row re-enters through run generation.
-    fn switch_to_external(&mut self, heap_rows: Vec<Row<K>>) -> Result<()> {
-        self.timer.enter(Phase::RunGeneration);
-        let catalog = Arc::new(
-            RunCatalog::new(
-                self.backend.clone(),
-                RunCatalog::<K>::unique_prefix("htopk"),
-                self.spec.order,
-                self.stats.clone(),
-            )
-            .with_block_bytes(self.config.block_bytes)
-            .with_spill_pipeline(self.config.spill_pipeline)
-            .with_io_scheduler(Some(self.io_scheduler.clone())),
-        );
-        let gen = self.build_generator(catalog.clone());
-        let filter = self.build_filter();
-        let mut ext = Box::new(External { catalog, gen, filter });
-        // In dedup mode the re-entering rows (distinct by construction)
-        // seed the distinct tracker, so the cutoff is established before
-        // the first external-phase row arrives. `observe_input` is a no-op
-        // outside distinct mode.
-        let seed_distinct = self.config.filter_enabled && self.config.input_filter;
-        for row in heap_rows {
-            if seed_distinct && ext.filter.observe_input(&row.key) == DistinctVerdict::Worse {
-                // The store retained more groups than the (slack-reduced)
-                // filter target; groups past the target are already out.
-                self.eliminated_at_input += 1;
-                continue;
-            }
-            ext.gen.push(row, &mut ext.filter)?;
-        }
-        self.state = State::External(ext);
-        self.spilled = true;
-        Ok(())
-    }
-
-    fn push_external(&mut self, row: Row<K>) -> Result<()> {
-        let State::External(ext) = &mut self.state else { unreachable!() };
-        if self.config.filter_enabled && self.config.input_filter {
-            if ext.filter.distinct_mode() {
-                // Dedup mode (Algorithm 1 line 4 adapted to DISTINCT):
-                // duplicates of a tracked key fold into nothing — their
-                // representative is already in the pipeline — and keys
-                // strictly worse than `retained` known distinct keys die.
-                match ext.filter.observe_input(&row.key) {
-                    DistinctVerdict::Admit => {}
-                    DistinctVerdict::Duplicate => {
-                        self.fold_stats.record_pre_spill(1, row.encoded_len() as u64);
-                        return Ok(());
-                    }
-                    DistinctVerdict::Worse => {
-                        self.eliminated_at_input += 1;
-                        return Ok(());
-                    }
-                }
-            } else if self.agg.is_none() && ext.filter.eliminate(&row.key) {
-                self.eliminated_at_input += 1;
-                return Ok(());
-            }
-            // Value aggregates (`agg` set, not distinct mode): no input
-            // elimination — every duplicate must reach its group's
-            // accumulator (DESIGN.md §14).
-        }
-        ext.gen.push(row, &mut ext.filter)?;
-        self.peak_bytes = self.peak_bytes.max(ext.gen.buffered_bytes());
-        Ok(())
-    }
-}
-
-use crate::topk::HoldCatalog;
-
-impl<K: SortKey> TopKOperator<K> for HistogramTopK<K> {
-    fn push(&mut self, row: Row<K>) -> Result<()> {
-        self.rows_in += 1;
-        // Operator boundary: in fold mode the raw payload becomes an
-        // accumulator exactly once per input row. Rows re-entering run
-        // generation at the external switch are already accumulators and
-        // bypass this.
-        let row = match &self.agg {
-            Some(agg) => Row { payload: agg.init(row.payload), key: row.key },
-            None => row,
-        };
-        match &mut self.state {
-            State::InMemory(store) => {
-                let fp = histok_sort::row_footprint(&row);
-                if !store.is_full() && store.bytes() + fp > self.config.effective_memory_budget() {
-                    // The output no longer fits: activate run generation.
-                    let rows = store.drain_unordered();
-                    self.switch_to_external(rows)?;
-                    return self.push_external(row);
-                }
-                match store.offer(row) {
-                    Offer::Grew | Offer::Folded => {}
-                    Offer::Displaced | Offer::Rejected => self.eliminated_at_input += 1,
-                }
-                self.peak_bytes = self.peak_bytes.max(store.bytes());
-                if store.is_full() && store.bytes() > self.config.effective_memory_budget() {
-                    // Variable-size rows grew the full queue past its
-                    // budget (§2.3's robustness hazard): spill adaptively
-                    // instead of failing.
-                    let rows = store.drain_unordered();
-                    self.switch_to_external(rows)?;
-                }
-                Ok(())
-            }
-            State::External(_) => self.push_external(row),
-            State::Finished => Err(Error::InvalidConfig("push after finish".into())),
-        }
-    }
-
-    fn finish(&mut self) -> Result<RowStream<K>> {
-        match std::mem::replace(&mut self.state, State::Finished) {
-            State::InMemory(store) => {
-                let rows = store.into_sorted();
-                self.timer.stop();
-                Ok(Box::new(TimedStream::new(
-                    SpecStream::new(rows.into_iter().map(Ok), &self.spec),
-                    self.final_merge_ns.clone(),
-                )))
-            }
-            State::External(mut ext) => {
-                let residue = ext.gen.finish(&mut ext.filter, self.config.residue)?;
-                let cutoff = ext.filter.cutoff().cloned();
-                self.final_filter = Some(ext.filter.metrics());
-                let (final_runs, cascade) = plan_merges_cascade(
-                    &ext.catalog,
-                    &self.config.merge,
-                    Some(self.spec.retained()),
-                    cutoff.as_ref(),
-                    &self.merge_tuning(),
-                    self.config.cascade_threads,
-                )?;
-                self.cascade = cascade;
-                // Range-partitioned parallel final merge (offset queries
-                // stay serial: the fast-skip path positions readers
-                // mid-run, which is incompatible with a range open). The
-                // cutoff clip is only sound when exact — with slack the
-                // serial merge may emit rows past the cutoff, and the
-                // partitioned path must match it byte for byte.
-                let mut residue = residue;
-                let est_rows = final_runs.iter().map(|m| m.rows).sum::<u64>()
-                    + residue.iter().map(|s| s.len() as u64).sum::<u64>();
-                if self.spec.offset == 0
-                    && self.config.merge_threads >= 2
-                    && est_rows >= self.config.partition_min_rows.max(1)
-                {
-                    let clip = if self.config.approx_slack == 0.0 { cutoff.as_ref() } else { None };
-                    match merge_runs_partitioned(
-                        &ext.catalog,
-                        &final_runs,
-                        residue,
-                        self.config.merge_threads,
-                        clip,
-                        &self.merge_tuning(),
-                    )? {
-                        PartitionAttempt::Partitioned(merge) => {
-                            self.merge_partitions = merge.partitions() as u64;
-                            self.partition_counters = Some(merge.counters());
-                            self.timer.stop();
-                            return Ok(Box::new(TimedStream::new(
-                                HoldCatalog {
-                                    _catalog: ext.catalog,
-                                    inner: SpecStream::new(merge, &self.spec),
-                                },
-                                self.final_merge_ns.clone(),
-                            )));
-                        }
-                        PartitionAttempt::Serial(rows) => residue = rows,
-                    }
-                }
-                // §4.1: an OFFSET clause lets the merge start partway in —
-                // the block indexes prove whole blocks irrelevant and skip
-                // them without reading. In fold mode the offset counts
-                // output *groups* while block row counts predate folding,
-                // so the fast skip is unsound and the merge starts from
-                // row zero (SpecStream skips folded rows instead).
-                let skip_offset = if self.agg.is_some() { 0 } else { self.spec.offset };
-                let skipped = crate::offset::fast_skip_sources(
-                    &ext.catalog,
-                    &final_runs,
-                    residue,
-                    skip_offset,
-                    self.config.readahead_blocks,
-                )?;
-                let mut spec = self.spec;
-                spec.offset -= skipped.skipped;
-                let tree: LoserTree<K, MergeSource<K>> =
-                    merge_sources_tuned(skipped.sources, self.spec.order, &self.merge_tuning())?;
-                let merge = BatchedMerge::new(tree, self.config.batch_rows);
-                // Residue spilling in `gen.finish` above still counted as
-                // run generation; everything from here until the stream is
-                // dropped is the final merge.
-                self.timer.stop();
-                Ok(Box::new(TimedStream::new(
-                    HoldCatalog { _catalog: ext.catalog, inner: SpecStream::new(merge, &spec) },
-                    self.final_merge_ns.clone(),
-                )))
-            }
-            State::Finished => already_finished("HistogramTopK"),
-        }
-    }
-
-    fn metrics(&self) -> OperatorMetrics {
-        let filter = match (&self.state, self.final_filter) {
-            (State::External(ext), _) => ext.filter.metrics(),
-            (_, Some(m)) => m,
-            _ => FilterMetrics::default(),
-        };
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
-        let mut phases = self.timer.snapshot();
-        phases.spill_write_ns = io.write_latency.total_ns;
-        phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);
-        let fold = self.fold_stats.snapshot();
-        OperatorMetrics {
-            rows_in: self.rows_in,
-            eliminated_at_input: self.eliminated_at_input,
-            eliminated_at_spill: filter.eliminated_at_spill,
-            io,
-            filter,
-            spilled: self.spilled,
-            peak_memory_bytes: self.peak_bytes,
-            early_merges: 0,
-            cmp: self.cmp_stats.snapshot(),
-            phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
-            queued_ns: 0,
-            rows_folded: fold.rows_folded,
-            bytes_folded_pre_spill: fold.bytes_folded_pre_spill,
-        }
-    }
-
-    fn algorithm(&self) -> &'static str {
-        "histogram-topk"
+    fn report(&self, metrics: &mut OperatorMetrics) {
+        metrics.filter = self.filter.metrics();
+        metrics.eliminated_at_spill = metrics.filter.eliminated_at_spill;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RunGenKind;
+    use crate::topk::TopKOperator;
+    use histok_sort::run_gen::ResiduePolicy;
     use histok_storage::MemoryBackend;
+    use histok_types::Row;
     use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
 
     fn config(budget: usize) -> TopKConfig {

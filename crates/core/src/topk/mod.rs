@@ -1,24 +1,29 @@
 //! The top-k operators: the paper's algorithm and the baselines it is
 //! evaluated against.
 //!
-//! | Operator | Paper section | Behaviour beyond memory |
-//! |---|---|---|
-//! | [`HistogramTopK`] | §3 (the contribution) | spills, filtering input with a histogram-derived cutoff |
-//! | [`InMemoryTopK`] | §2.3 | assumes provisioned memory; never spills |
-//! | [`TraditionalExternalTopK`] | §2.4 | externally sorts the *entire* input |
-//! | [`OptimizedExternalTopK`] | §2.5 ([Graefe'08]) | run size ≤ k, kth-key filter, early merge steps |
+//! | Operator | Paper section | Filter policy / run-size cap | Behaviour beyond memory |
+//! |---|---|---|---|
+//! | [`HistogramTopK`] | §3 (the contribution) | [`HistogramPolicy`]: histogram cutoff / `k` (configurable) | spills, filtering input with a histogram-derived cutoff |
+//! | [`InMemoryTopK`] | §2.3 | heap cutoff / — | assumes provisioned memory; never spills |
+//! | [`TraditionalExternalTopK`] | §2.4 | none / none | externally sorts the *entire* input |
+//! | [`OptimizedExternalTopK`] | §2.5 ([Graefe'08]) | [`KthKeyPolicy`]: kth key + early merge / `k` | run size ≤ k, kth-key filter, early merge steps |
 //!
 //! All four implement [`TopKOperator`], so experiments drive them through
-//! one interface.
+//! one interface. The two filtering external operators are one pipeline,
+//! [`ExternalTopK`], over a [`FilterPolicy`]; every spilling operator ends
+//! in the shared [`histok_sort::final_merge()`].
 
 mod histogram_topk;
 mod in_memory;
 mod optimized;
+mod pipeline;
 mod traditional;
 
-pub use histogram_topk::HistogramTopK;
+pub use histogram_topk::{HistogramPolicy, HistogramTopK};
 pub use in_memory::InMemoryTopK;
-pub use optimized::OptimizedExternalTopK;
+pub use optimized::{KthKeyPolicy, OptimizedExternalTopK};
+pub(crate) use pipeline::PipelineStats;
+pub use pipeline::{ExternalTopK, FilterPolicy, Screen};
 pub use traditional::TraditionalExternalTopK;
 
 use histok_sort::{row_footprint, BinaryHeapBy};
@@ -297,7 +302,7 @@ pub(crate) fn already_finished<T>(what: &str) -> Result<T> {
 /// pair for the whole stream, nothing per row. The total lands in a shared
 /// atomic so `metrics()` can read it after the stream is gone.
 pub(crate) struct TimedStream<I> {
-    pub(crate) inner: I,
+    inner: I,
     started: std::time::Instant,
     sink_ns: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
@@ -319,20 +324,6 @@ impl<I> Drop for TimedStream<I> {
     fn drop(&mut self) {
         let ns = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         self.sink_ns.fetch_add(ns, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-/// Keeps a run catalog (and therefore its spilled objects) alive while the
-/// output stream that reads them is consumed.
-pub(crate) struct HoldCatalog<K: SortKey, I> {
-    pub(crate) _catalog: std::sync::Arc<histok_storage::RunCatalog<K>>,
-    pub(crate) inner: I,
-}
-
-impl<K: SortKey, I: Iterator<Item = Result<Row<K>>>> Iterator for HoldCatalog<K, I> {
-    type Item = Result<Row<K>>;
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
     }
 }
 

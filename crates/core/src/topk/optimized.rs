@@ -16,37 +16,36 @@
 //! quantifies ("our algorithm will write 12× less input rows compared to
 //! the optimized external merge sort").
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use histok_sort::run_gen::ResiduePolicy;
+use histok_sort::{merge_runs_to_new_tuned, MergeTuning, SpillObserver};
+use histok_storage::RunCatalog;
+use histok_types::{Error, Result, SortKey, SortOrder, SortSpec};
 
-use histok_sort::run_gen::{BatchSort, ReplacementSelection, ResiduePolicy, RunGenerator};
-use histok_sort::{
-    merge_runs_partitioned, merge_runs_to_new_tuned, merge_sources_tuned, plan_merges_cascade,
-    BatchedMerge, CascadeStats, CmpStats, MergeSource, MergeTuning, PartitionAttempt,
-    PartitionCounters, SpillObserver,
-};
-use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
-use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortOrder, SortSpec};
-
-use crate::config::{RunGenMode, TopKConfig};
+use crate::config::{RunGenKind, TopKConfig};
 use crate::metrics::OperatorMetrics;
-use crate::topk::{
-    already_finished, HoldCatalog, Offer, RetainedHeap, RowStream, SpecStream, TimedStream,
-    TopKOperator,
-};
+use crate::topk::pipeline::{ExternalTopK, FilterPolicy, Screen};
 
-/// Spill observer for the optimized baseline: kth-key sharpening plus
-/// cutoff-based elimination (no histograms).
-struct KthKeyObserver<K> {
+/// The [Graefe'08] optimized external top-k: the shared pipeline under the
+/// [`KthKeyPolicy`].
+pub type OptimizedExternalTopK<K> = ExternalTopK<K, KthKeyPolicy<K>>;
+
+/// The §2.5 filter policy: kth-key sharpening during run generation plus
+/// the early merge step, with cutoff-based elimination (no histograms).
+pub struct KthKeyPolicy<K> {
     order: SortOrder,
     k: u64,
     cutoff: Option<K>,
     rows_in_run: u64,
     rows_spilled: u64,
     eliminated_at_spill: u64,
+    early_merges: u64,
+    /// Re-derive the cutoff by another merge every time this many more rows
+    /// have spilled; `None` (the default, per [Graefe'08]) merges once.
+    resharpen_every: Option<u64>,
+    spilled_at_last_merge: u64,
 }
 
-impl<K: SortKey> KthKeyObserver<K> {
+impl<K: SortKey> KthKeyPolicy<K> {
     fn tighten(&mut self, key: &K) {
         let tighter = match &self.cutoff {
             Some(cur) => self.order.precedes(key, cur),
@@ -65,7 +64,7 @@ impl<K: SortKey> KthKeyObserver<K> {
     }
 }
 
-impl<K: SortKey> SpillObserver<K> for KthKeyObserver<K> {
+impl<K: SortKey> SpillObserver<K> for KthKeyPolicy<K> {
     fn run_started(&mut self, _estimated_rows: u64) {
         self.rows_in_run = 0;
     }
@@ -98,166 +97,48 @@ impl<K: SortKey> SpillObserver<K> for KthKeyObserver<K> {
     }
 }
 
-enum State<K: SortKey> {
-    InMemory(RetainedHeap<K>),
-    External(Box<External<K>>),
-    Finished,
-}
+impl<K: SortKey> FilterPolicy<K> for KthKeyPolicy<K> {
+    const ALGORITHM: &'static str = "optimized-ems";
+    const RUN_PREFIX: &'static str = "opttopk";
 
-/// External-mode machinery, boxed to keep the `State` variants similar in
-/// size.
-struct External<K: SortKey> {
-    catalog: Arc<RunCatalog<K>>,
-    gen: Box<dyn RunGenerator<K>>,
-    obs: KthKeyObserver<K>,
-}
-
-/// The [Graefe'08] optimized external top-k.
-pub struct OptimizedExternalTopK<K: SortKey> {
-    spec: SortSpec,
-    config: TopKConfig,
-    backend: Arc<dyn StorageBackend>,
-    stats: IoStats,
-    state: State<K>,
-    rows_in: u64,
-    eliminated_at_input: u64,
-    eliminated_at_spill_final: u64,
-    peak_bytes: usize,
-    spilled: bool,
-    early_merges: u64,
-    /// Re-derive the cutoff by another merge every time this many more rows
-    /// have spilled; `None` (the default, per [Graefe'08]) merges once.
-    resharpen_every: Option<u64>,
-    spilled_at_last_merge: u64,
-    timer: PhaseTimer,
-    final_merge_ns: Arc<AtomicU64>,
-    /// Shared comparison counters the sort structures flush into.
-    cmp_stats: CmpStats,
-    merge_partitions: u64,
-    partition_counters: Option<PartitionCounters>,
-    /// Intermediate cascade-merge pass counters.
-    cascade: CascadeStats,
-    /// Shared background-I/O pool, built once from `config.io_threads`
-    /// and reused by every spill and merge this operator performs.
-    io_scheduler: IoScheduler,
-}
-
-impl<K: SortKey> OptimizedExternalTopK<K> {
-    /// Creates the operator.
-    pub fn new(
-        spec: SortSpec,
-        config: TopKConfig,
-        backend: impl StorageBackend + 'static,
-    ) -> Result<Self> {
-        Self::with_arc(spec, config, Arc::new(backend))
-    }
-
-    /// As [`OptimizedExternalTopK::new`] with a shared backend handle.
-    pub fn with_arc(
-        spec: SortSpec,
-        config: TopKConfig,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Result<Self> {
-        spec.validate()?;
-        config.validate()?;
+    fn new(spec: &SortSpec, config: &TopKConfig) -> Result<Self> {
         if config.fold_op().is_some() {
             return Err(Error::InvalidConfig(
                 "dedup/aggregate queries are not supported by the optimized baseline".into(),
             ));
         }
-        Ok(OptimizedExternalTopK {
-            state: State::InMemory(RetainedHeap::new(spec.retained(), spec.order)),
-            io_scheduler: config.io_scheduler(),
-            spec,
-            config,
-            backend,
-            stats: IoStats::new(),
-            rows_in: 0,
-            eliminated_at_input: 0,
-            eliminated_at_spill_final: 0,
-            peak_bytes: 0,
-            spilled: false,
-            early_merges: 0,
-            resharpen_every: None,
-            spilled_at_last_merge: 0,
-            timer: PhaseTimer::started(Phase::InMemory),
-            final_merge_ns: Arc::new(AtomicU64::new(0)),
-            cmp_stats: CmpStats::new(),
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
-        })
-    }
-
-    fn merge_tuning(&self) -> MergeTuning {
-        MergeTuning {
-            ovc: self.config.ovc_enabled,
-            stats: Some(self.cmp_stats.clone()),
-            readahead_blocks: self.config.readahead_blocks,
-            io_scheduler: Some(self.io_scheduler.clone()),
-            batch_rows: self.config.batch_rows,
-            fold: None,
-        }
-    }
-
-    /// Enables periodic re-merging: after the first early merge, merge
-    /// again whenever `rows` more rows have spilled (an ablation knob — a
-    /// more generous baseline than [Graefe'08] prescribes).
-    pub fn with_resharpen_every(mut self, rows: u64) -> Self {
-        self.resharpen_every = Some(rows.max(1));
-        self
-    }
-
-    /// The current cutoff key, if any.
-    pub fn cutoff(&self) -> Option<K> {
-        match &self.state {
-            State::InMemory(heap) => heap.cutoff().cloned(),
-            State::External(ext) => ext.obs.cutoff.clone(),
-            State::Finished => None,
-        }
-    }
-
-    fn switch_to_external(&mut self, rows: Vec<Row<K>>) -> Result<()> {
-        self.timer.enter(Phase::RunGeneration);
-        let catalog = Arc::new(
-            RunCatalog::new(
-                self.backend.clone(),
-                RunCatalog::<K>::unique_prefix("opttopk"),
-                self.spec.order,
-                self.stats.clone(),
-            )
-            .with_block_bytes(self.config.block_bytes)
-            .with_spill_pipeline(self.config.spill_pipeline)
-            .with_io_scheduler(Some(self.io_scheduler.clone())),
-        );
-        // Replacement selection *defines* this baseline ([Graefe'08]), so
-        // only the explicit Batch override swaps in the radix sorter
-        // (losing the run-size cap, which batch mode does not support).
-        let mut gen: Box<dyn RunGenerator<K>> = if self.config.run_gen_mode == RunGenMode::Batch {
-            Box::new(BatchSort::with_budget(catalog.clone(), self.config.make_budget()))
-        } else {
-            let mut gen =
-                ReplacementSelection::with_budget(catalog.clone(), self.config.make_budget())
-                    .with_ovc(self.config.ovc_enabled, Some(self.cmp_stats.clone()));
-            if self.config.limit_run_size {
-                gen = gen.with_run_limit(self.spec.retained());
-            }
-            Box::new(gen)
-        };
-        let mut obs = KthKeyObserver {
-            order: self.spec.order,
-            k: self.spec.retained(),
+        Ok(KthKeyPolicy {
+            order: spec.order,
+            k: spec.retained(),
             cutoff: None,
             rows_in_run: 0,
             rows_spilled: 0,
             eliminated_at_spill: 0,
-        };
-        for row in rows {
-            gen.push(row, &mut obs)?;
+            early_merges: 0,
+            resharpen_every: None,
+            spilled_at_last_merge: 0,
+        })
+    }
+
+    /// Replacement selection *defines* this baseline ([Graefe'08]).
+    fn run_generation(&self, _config: &TopKConfig) -> RunGenKind {
+        RunGenKind::ReplacementSelection
+    }
+
+    fn residue(&self, _config: &TopKConfig) -> ResiduePolicy {
+        ResiduePolicy::KeepInMemory
+    }
+
+    fn screen(&mut self, key: &K) -> Screen {
+        if self.eliminate(key) {
+            Screen::Eliminate
+        } else {
+            Screen::Admit
         }
-        self.state = State::External(Box::new(External { catalog, gen, obs }));
-        self.spilled = true;
-        Ok(())
+    }
+
+    fn observer(&mut self) -> &mut dyn SpillObserver<K> {
+        self
     }
 
     /// The early merge step: combine all finished runs into one
@@ -269,185 +150,60 @@ impl<K: SortKey> OptimizedExternalTopK<K> {
     /// spilled keys — the paper's §3.2.1 account of this technique
     /// ("merging 10 initial runs [10 × 1000 rows, k = 5000] establishes a
     /// cutoff key able to eliminate ½ of the remaining input").
-    fn maybe_early_merge(&mut self) -> Result<()> {
-        let tuning = self.merge_tuning();
-        let State::External(ext) = &mut self.state else { return Ok(()) };
-        let External { catalog, obs, .. } = ext.as_mut();
-        let k = self.spec.retained();
-        let due = if obs.cutoff.is_none() {
-            obs.rows_spilled >= 2 * k
-        } else if let Some(every) = self.resharpen_every {
-            obs.rows_spilled - self.spilled_at_last_merge >= every
-        } else {
-            false
+    fn after_push(&mut self, catalog: &RunCatalog<K>, tuning: &MergeTuning) -> Result<()> {
+        let due = match (&self.cutoff, self.resharpen_every) {
+            (None, _) => self.rows_spilled >= 2 * self.k,
+            (Some(_), Some(every)) => self.rows_spilled - self.spilled_at_last_merge >= every,
+            (Some(_), None) => false,
         };
         if !due || catalog.len() < 2 {
             return Ok(());
         }
         let runs = catalog.runs();
         let merged =
-            merge_runs_to_new_tuned(catalog, &runs, Some(k), obs.cutoff.as_ref(), &tuning)?;
-        if merged.rows >= k {
+            merge_runs_to_new_tuned(catalog, &runs, Some(self.k), self.cutoff.as_ref(), tuning)?;
+        if merged.rows >= self.k {
             if let Some(last) = &merged.last_key {
-                obs.tighten(last);
+                self.tighten(last);
             }
         }
         self.early_merges += 1;
-        self.spilled_at_last_merge = obs.rows_spilled;
+        self.spilled_at_last_merge = self.rows_spilled;
         Ok(())
+    }
+
+    fn cutoff(&self) -> Option<&K> {
+        self.cutoff.as_ref()
+    }
+
+    /// The kth-key cutoff (when set) proves at least `retained` rows at or
+    /// below it.
+    fn clip_at_cutoff(&self) -> bool {
+        true
+    }
+
+    fn report(&self, metrics: &mut OperatorMetrics) {
+        metrics.eliminated_at_spill = self.eliminated_at_spill;
+        metrics.early_merges = self.early_merges;
     }
 }
 
-impl<K: SortKey> TopKOperator<K> for OptimizedExternalTopK<K> {
-    fn push(&mut self, row: Row<K>) -> Result<()> {
-        self.rows_in += 1;
-        match &mut self.state {
-            State::InMemory(heap) => {
-                let fp = histok_sort::row_footprint(&row);
-                if !heap.is_full() && heap.bytes() + fp > self.config.effective_memory_budget() {
-                    let rows = heap.drain_unordered();
-                    self.switch_to_external(rows)?;
-                    self.rows_in -= 1; // the recursive push counts it again
-                    return self.push(row);
-                }
-                match heap.offer(row) {
-                    Offer::Grew | Offer::Folded => {}
-                    Offer::Displaced | Offer::Rejected => self.eliminated_at_input += 1,
-                }
-                self.peak_bytes = self.peak_bytes.max(heap.bytes());
-                Ok(())
-            }
-            State::External(ext) => {
-                if ext.obs.eliminate(&row.key) {
-                    self.eliminated_at_input += 1;
-                    return Ok(());
-                }
-                let External { gen, obs, .. } = ext.as_mut();
-                gen.push(row, obs)?;
-                self.peak_bytes = self.peak_bytes.max(ext.gen.buffered_bytes());
-                self.maybe_early_merge()
-            }
-            State::Finished => Err(Error::InvalidConfig("push after finish".into())),
-        }
-    }
-
-    fn finish(&mut self) -> Result<RowStream<K>> {
-        match std::mem::replace(&mut self.state, State::Finished) {
-            State::InMemory(heap) => {
-                let rows = heap.into_sorted();
-                self.timer.stop();
-                Ok(Box::new(TimedStream::new(
-                    SpecStream::new(rows.into_iter().map(Ok), &self.spec),
-                    self.final_merge_ns.clone(),
-                )))
-            }
-            State::External(ext) => {
-                let External { catalog, mut gen, mut obs } = *ext;
-                let residue = gen.finish(&mut obs, ResiduePolicy::KeepInMemory)?;
-                self.eliminated_at_spill_final = obs.eliminated_at_spill;
-                let (final_runs, cascade) = plan_merges_cascade(
-                    &catalog,
-                    &self.config.merge,
-                    Some(self.spec.retained()),
-                    obs.cutoff.as_ref(),
-                    &self.merge_tuning(),
-                    self.config.cascade_threads,
-                )?;
-                self.cascade = cascade;
-                // Range-partition the final merge when configured. The
-                // kth-key cutoff (when set) proves at least `retained`
-                // rows at or below it, so clipping the partition plan at
-                // the cutoff never loses an output row.
-                let mut residue = residue;
-                let est_rows = final_runs.iter().map(|m| m.rows).sum::<u64>()
-                    + residue.iter().map(|s| s.len() as u64).sum::<u64>();
-                if self.config.merge_threads >= 2
-                    && est_rows >= self.config.partition_min_rows.max(1)
-                {
-                    match merge_runs_partitioned(
-                        &catalog,
-                        &final_runs,
-                        residue,
-                        self.config.merge_threads,
-                        obs.cutoff.as_ref(),
-                        &self.merge_tuning(),
-                    )? {
-                        PartitionAttempt::Partitioned(merge) => {
-                            self.merge_partitions = merge.partitions() as u64;
-                            self.partition_counters = Some(merge.counters());
-                            self.timer.stop();
-                            return Ok(Box::new(TimedStream::new(
-                                HoldCatalog {
-                                    _catalog: catalog,
-                                    inner: SpecStream::new(merge, &self.spec),
-                                },
-                                self.final_merge_ns.clone(),
-                            )));
-                        }
-                        PartitionAttempt::Serial(rows) => residue = rows,
-                    }
-                }
-                let mut sources: Vec<MergeSource<K>> =
-                    Vec::with_capacity(final_runs.len() + residue.len());
-                for meta in &final_runs {
-                    sources.push(histok_sort::open_source(&catalog, meta, &self.merge_tuning())?);
-                }
-                for seq in residue {
-                    sources.push(MergeSource::Memory(seq.into_iter()));
-                }
-                let tree = merge_sources_tuned(sources, self.spec.order, &self.merge_tuning())?;
-                let merge = BatchedMerge::new(tree, self.config.batch_rows);
-                self.timer.stop();
-                Ok(Box::new(TimedStream::new(
-                    HoldCatalog { _catalog: catalog, inner: SpecStream::new(merge, &self.spec) },
-                    self.final_merge_ns.clone(),
-                )))
-            }
-            State::Finished => already_finished("OptimizedExternalTopK"),
-        }
-    }
-
-    fn metrics(&self) -> OperatorMetrics {
-        let eliminated_at_spill = match &self.state {
-            State::External(ext) => ext.obs.eliminated_at_spill,
-            _ => self.eliminated_at_spill_final,
-        };
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
-        let mut phases = self.timer.snapshot();
-        phases.spill_write_ns = io.write_latency.total_ns;
-        phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);
-        OperatorMetrics {
-            rows_in: self.rows_in,
-            eliminated_at_input: self.eliminated_at_input,
-            eliminated_at_spill,
-            io,
-            filter: Default::default(),
-            spilled: self.spilled,
-            peak_memory_bytes: self.peak_bytes,
-            early_merges: self.early_merges,
-            cmp: self.cmp_stats.snapshot(),
-            phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
-            ..Default::default()
-        }
-    }
-
-    fn algorithm(&self) -> &'static str {
-        "optimized-ems"
+impl<K: SortKey> ExternalTopK<K, KthKeyPolicy<K>> {
+    /// Enables periodic re-merging: after the first early merge, merge
+    /// again whenever `rows` more rows have spilled (an ablation knob — a
+    /// more generous baseline than [Graefe'08] prescribes).
+    pub fn with_resharpen_every(mut self, rows: u64) -> Self {
+        self.policy.resharpen_every = Some(rows.max(1));
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::TopKOperator;
     use histok_storage::MemoryBackend;
+    use histok_types::Row;
     use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
 
     fn config(budget: usize) -> TopKConfig {

@@ -6,135 +6,93 @@
 //! limit, quicksort runs — the PostgreSQL behaviour whose order-of-magnitude
 //! performance cliff §5.2 demonstrates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use histok_sort::{CascadeStats, CmpStats, ExternalSorter, MemoryBudget, MergeTuning};
+use histok_sort::{ExternalSorter, MemoryBudget, MergeTuning};
 use histok_storage::{IoStats, StorageBackend};
-use histok_types::{Error, Phase, PhaseTimer, Result, Row, SortKey, SortSpec};
+use histok_types::{Error, Phase, Result, Row, SortKey, SortSpec};
 
 use crate::config::TopKConfig;
 use crate::metrics::OperatorMetrics;
-use crate::topk::{already_finished, RowStream, SpecStream, TimedStream, TopKOperator};
+use crate::topk::{already_finished, PipelineStats, RowStream, TopKOperator};
 
 /// Top-k by fully sorting the input externally, then taking `k` rows.
 pub struct TraditionalExternalTopK<K: SortKey> {
     spec: SortSpec,
     sorter: Option<ExternalSorter<K>>,
-    backend: Arc<dyn StorageBackend>,
-    stats: IoStats,
     rows_in: u64,
     peak_bytes: usize,
     budget: usize,
     /// The whole consume stage is run generation: there is no filtering
     /// in-memory phase to account separately.
-    timer: PhaseTimer,
-    final_merge_ns: Arc<AtomicU64>,
-    /// Shared comparison counters the final merge flushes into.
-    cmp_stats: CmpStats,
-    merge_partitions: u64,
-    partition_counters: Option<histok_sort::PartitionCounters>,
-    cascade: CascadeStats,
+    stats: PipelineStats,
 }
 
 impl<K: SortKey> TraditionalExternalTopK<K> {
-    /// Creates the operator with `budget_bytes` of sort workspace.
+    /// Creates the operator with `budget_bytes` of sort workspace and the
+    /// sorter's own defaults: synchronous I/O, serial merges.
     pub fn new(
         spec: SortSpec,
         budget_bytes: usize,
         backend: impl StorageBackend + 'static,
     ) -> Result<Self> {
-        Self::with_arc(spec, budget_bytes, Arc::new(backend))
+        if budget_bytes == 0 {
+            return Err(Error::InvalidConfig("memory budget must be positive".into()));
+        }
+        spec.validate()?;
+        let backend: Arc<dyn StorageBackend> = Arc::new(backend);
+        let stats = PipelineStats::new(backend.clone(), Phase::RunGeneration);
+        let sorter = ExternalSorter::with_memory_budget(
+            backend,
+            spec.order,
+            MemoryBudget::new(budget_bytes),
+            stats.io.clone(),
+        )
+        .with_tuning(MergeTuning::default().with_stats(Some(stats.cmp.clone())));
+        Ok(Self::with_sorter(spec, sorter, budget_bytes, stats))
     }
 
     /// As [`TraditionalExternalTopK::new`] with a shared backend and the
-    /// I/O knobs from `config` (block size, spill pipeline, read-ahead,
-    /// offset-value coding); the sort workspace is `config.memory_budget`.
+    /// I/O and merge knobs from `config` (block size, spill pipeline,
+    /// read-ahead, offset-value coding, merge threads); the sort workspace
+    /// is `config.memory_budget` (or its lease).
     pub fn with_config(
         spec: SortSpec,
         config: &TopKConfig,
         backend: Arc<dyn StorageBackend>,
     ) -> Result<Self> {
         config.validate()?;
+        spec.validate()?;
         if config.fold_op().is_some() {
             return Err(Error::InvalidConfig(
                 "dedup/aggregate queries are not supported by the traditional baseline".into(),
             ));
         }
-        let mut op = Self::with_budget(spec, config.make_budget(), backend)?;
-        let sorter = op.sorter.take().expect("sorter present before first push");
-        op.sorter = Some(
-            sorter
-                .with_block_bytes(config.block_bytes)
-                .with_spill_pipeline(config.spill_pipeline)
-                .with_merge_threads(config.merge_threads)
-                .with_partition_min_rows(config.partition_min_rows)
-                .with_cascade_threads(config.cascade_threads)
-                .with_tuning(MergeTuning {
-                    ovc: config.ovc_enabled,
-                    stats: Some(op.cmp_stats.clone()),
-                    readahead_blocks: config.readahead_blocks,
-                    io_scheduler: None,
-                    batch_rows: config.batch_rows,
-                    fold: None,
-                })
-                // After with_tuning: sets both the catalog's spill pool and
-                // the tuning's read-ahead pool.
-                .with_io_scheduler(Some(config.io_scheduler())),
-        );
-        Ok(op)
+        let stats = PipelineStats::new(backend.clone(), Phase::RunGeneration);
+        let sorter = config.external_sorter(backend, spec.order, stats.io.clone(), &stats.cmp);
+        let budget = config.make_budget().limit();
+        Ok(Self::with_sorter(spec, sorter, budget, stats))
     }
 
-    /// As [`TraditionalExternalTopK::new`] with a shared backend.
-    pub fn with_arc(
+    fn with_sorter(
         spec: SortSpec,
-        budget_bytes: usize,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Result<Self> {
-        if budget_bytes == 0 {
-            return Err(Error::InvalidConfig("memory budget must be positive".into()));
-        }
-        Self::with_budget(spec, MemoryBudget::new(budget_bytes), backend)
-    }
-
-    /// As [`TraditionalExternalTopK::with_arc`] with a caller-built budget
-    /// (possibly reading its limit through a shared lease handle).
-    fn with_budget(
-        spec: SortSpec,
-        budget: MemoryBudget,
-        backend: Arc<dyn StorageBackend>,
-    ) -> Result<Self> {
-        spec.validate()?;
-        let stats = IoStats::new();
-        let cmp_stats = CmpStats::new();
-        let budget_bytes = budget.limit();
-        let sorter =
-            ExternalSorter::with_memory_budget(backend.clone(), spec.order, budget, stats.clone())
-                .with_tuning(MergeTuning {
-                    ovc: true,
-                    stats: Some(cmp_stats.clone()),
-                    ..MergeTuning::default()
-                });
-        Ok(TraditionalExternalTopK {
+        sorter: ExternalSorter<K>,
+        budget: usize,
+        stats: PipelineStats,
+    ) -> Self {
+        TraditionalExternalTopK {
             spec,
             sorter: Some(sorter),
-            backend,
-            stats,
             rows_in: 0,
             peak_bytes: 0,
-            budget: budget_bytes,
-            timer: PhaseTimer::started(Phase::RunGeneration),
-            final_merge_ns: Arc::new(AtomicU64::new(0)),
-            cmp_stats,
-            merge_partitions: 1,
-            partition_counters: None,
-            cascade: CascadeStats::default(),
-        })
+            budget,
+            stats,
+        }
     }
 
     /// The shared I/O counters.
     pub fn io_stats(&self) -> &IoStats {
-        &self.stats
+        &self.stats.io
     }
 }
 
@@ -152,37 +110,14 @@ impl<K: SortKey> TopKOperator<K> for TraditionalExternalTopK<K> {
         };
         self.peak_bytes = self.budget; // uses its whole workspace
         let stream = sorter.finish()?;
-        self.merge_partitions = stream.merge_partitions() as u64;
-        self.partition_counters = stream.partition_counters();
-        self.cascade = stream.cascade_stats();
-        self.timer.stop();
-        Ok(Box::new(TimedStream::new(
-            SpecStream::new(stream, &self.spec),
-            self.final_merge_ns.clone(),
-        )))
+        Ok(self.stats.merged_output(stream, &self.spec))
     }
 
     fn metrics(&self) -> OperatorMetrics {
-        let mut io = self.stats.snapshot();
-        io.modelled_io_ns = io.modelled_io_ns.max(self.backend.modelled_io_ns());
-        let mut phases = self.timer.snapshot();
-        phases.spill_write_ns = io.write_latency.total_ns;
-        phases.final_merge_ns += self.final_merge_ns.load(Ordering::Relaxed);
         OperatorMetrics {
             rows_in: self.rows_in,
-            io,
-            spilled: io.runs_created > 0,
             peak_memory_bytes: self.peak_bytes,
-            cmp: self.cmp_stats.snapshot(),
-            phases,
-            merge_partitions: self.merge_partitions,
-            partition_rows: self
-                .partition_counters
-                .as_ref()
-                .map(|c| c.snapshot())
-                .unwrap_or_default(),
-            cascade: self.cascade,
-            ..Default::default()
+            ..self.stats.metrics()
         }
     }
 

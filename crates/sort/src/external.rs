@@ -12,14 +12,10 @@ use histok_storage::{IoScheduler, IoStats, RunCatalog, StorageBackend};
 use histok_types::{Result, Row, SortKey, SortOrder};
 
 use crate::budget::MemoryBudget;
-use crate::cascade::{plan_merges_cascade, CascadeStats};
+use crate::final_merge::{final_merge, FinalMergePlan, SortedStream};
 use crate::fold::FoldSpec;
-use crate::merge::{
-    merge_sources_tuned, open_source, BatchedMerge, MergeConfig, MergePolicy, MergeSource,
-    MergeTuning,
-};
+use crate::merge::{MergeConfig, MergePolicy, MergeTuning};
 use crate::observer::NoopObserver;
-use crate::partition::{merge_runs_partitioned, PartitionCounters, PartitionedMerge};
 use crate::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
 
 /// A full external merge sort: push rows, then stream them back sorted.
@@ -47,14 +43,8 @@ use crate::run_gen::{BatchSort, LoadSortStore, ResiduePolicy, RunGenerator};
 pub struct ExternalSorter<K: SortKey> {
     catalog: Arc<RunCatalog<K>>,
     generator: Box<dyn RunGenerator<K>>,
-    budget: MemoryBudget,
-    merge: MergeConfig,
-    tuning: MergeTuning,
-    order: SortOrder,
+    plan: FinalMergePlan<K>,
     rows_in: u64,
-    merge_threads: usize,
-    partition_min_rows: u64,
-    cascade_threads: usize,
     fold: Option<FoldSpec>,
 }
 
@@ -89,21 +79,16 @@ impl<K: SortKey> ExternalSorter<K> {
         // prefix is exact take the radix batch sort (same flush points and
         // run contents, no comparator on the hot path).
         let generator: Box<dyn RunGenerator<K>> = if K::norm_prefix_is_exact() {
-            Box::new(BatchSort::with_budget(catalog.clone(), budget.fork()))
+            Box::new(BatchSort::with_budget(catalog.clone(), budget))
         } else {
-            Box::new(LoadSortStore::with_budget(catalog.clone(), budget.fork()))
+            Box::new(LoadSortStore::with_budget(catalog.clone(), budget))
         };
+        let merge = MergeConfig { fan_in: 512, policy: MergePolicy::SmallestFirst };
         ExternalSorter {
             catalog,
             generator,
-            budget,
-            merge: MergeConfig { fan_in: 512, policy: MergePolicy::SmallestFirst },
-            tuning: MergeTuning::default(),
-            order,
+            plan: FinalMergePlan::new(merge, MergeTuning::default()),
             rows_in: 0,
-            merge_threads: 1,
-            partition_min_rows: 0,
-            cascade_threads: 1,
             fold: None,
         }
     }
@@ -120,28 +105,14 @@ impl<K: SortKey> ExternalSorter<K> {
 
     /// Overrides the merge fan-in.
     pub fn with_fan_in(mut self, fan_in: usize) -> Self {
-        self.merge.fan_in = fan_in;
-        self
-    }
-
-    /// Forces batched (radix) or comparison (quicksort) run generation,
-    /// overriding the by-key-width default. Call before the first `push`;
-    /// rows already buffered would be dropped.
-    pub fn with_batch_run_gen(mut self, batched: bool) -> Self {
-        debug_assert_eq!(self.generator.buffered_rows(), 0, "switch run generation before pushing");
-        self.generator = if batched {
-            Box::new(BatchSort::with_budget(self.catalog.clone(), self.budget.fork()))
-        } else {
-            Box::new(LoadSortStore::with_budget(self.catalog.clone(), self.budget.fork()))
-        };
-        self.generator.set_fold(self.fold.clone());
+        self.plan.merge.fan_in = fan_in;
         self
     }
 
     /// Overrides the merge tuning (offset-value coding switch, comparison
     /// counters, read-ahead depth).
     pub fn with_tuning(mut self, tuning: MergeTuning) -> Self {
-        self.tuning = tuning;
+        self.plan.tuning = tuning;
         self
     }
 
@@ -163,7 +134,7 @@ impl<K: SortKey> ExternalSorter<K> {
     /// on the sorting thread).
     pub fn with_io_scheduler(mut self, scheduler: Option<IoScheduler>) -> Self {
         self.catalog.set_io_scheduler(scheduler.clone());
-        self.tuning.io_scheduler = scheduler;
+        self.plan.tuning.io_scheduler = scheduler;
         self
     }
 
@@ -173,7 +144,7 @@ impl<K: SortKey> ExternalSorter<K> {
     ///
     /// [`with_partition_min_rows`]: ExternalSorter::with_partition_min_rows
     pub fn with_merge_threads(mut self, threads: usize) -> Self {
-        self.merge_threads = threads.max(1);
+        self.plan.merge_threads = threads.max(1);
         self
     }
 
@@ -182,7 +153,7 @@ impl<K: SortKey> ExternalSorter<K> {
     ///
     /// [`with_merge_threads`]: ExternalSorter::with_merge_threads
     pub fn with_partition_min_rows(mut self, rows: u64) -> Self {
-        self.partition_min_rows = rows;
+        self.plan.partition_min_rows = rows;
         self
     }
 
@@ -190,7 +161,7 @@ impl<K: SortKey> ExternalSorter<K> {
     /// 1 = serial): the independent merges of each pass run concurrently,
     /// sharing the sorter's I/O scheduler.
     pub fn with_cascade_threads(mut self, threads: usize) -> Self {
-        self.cascade_threads = threads.max(1);
+        self.plan.cascade_threads = threads.max(1);
         self
     }
 
@@ -213,92 +184,10 @@ impl<K: SortKey> ExternalSorter<K> {
     pub fn finish(mut self) -> Result<SortedStream<K>> {
         if self.fold.is_some() {
             // Ordering-proof: with_tuning after with_fold must not lose it.
-            self.tuning.fold = self.fold.clone();
+            self.plan.tuning.fold = self.fold.clone();
         }
         self.generator.finish(&mut NoopObserver, ResiduePolicy::SpillToRuns)?;
-        let (final_runs, cascade) = plan_merges_cascade(
-            &self.catalog,
-            &self.merge,
-            None,
-            None,
-            &self.tuning,
-            self.cascade_threads,
-        )?;
-        let spilled: u64 = final_runs.iter().map(|m| m.rows).sum();
-        if self.merge_threads >= 2 && spilled >= self.partition_min_rows.max(1) {
-            if let Some(merge) = merge_runs_partitioned(
-                &self.catalog,
-                &final_runs,
-                vec![],
-                self.merge_threads,
-                None,
-                &self.tuning,
-            )?
-            .partitioned()
-            {
-                return Ok(SortedStream {
-                    _catalog: self.catalog,
-                    inner: SortedInner::Partitioned(merge),
-                    cascade,
-                });
-            }
-        }
-        let mut sources = Vec::with_capacity(final_runs.len());
-        for meta in &final_runs {
-            sources.push(open_source(&self.catalog, meta, &self.tuning)?);
-        }
-        let tree = merge_sources_tuned(sources, self.order, &self.tuning)?;
-        let merge = BatchedMerge::new(tree, self.tuning.batch_rows);
-        Ok(SortedStream { _catalog: self.catalog, inner: SortedInner::Serial(merge), cascade })
-    }
-}
-
-/// The sorted output stream; holds the run catalog alive until dropped.
-pub struct SortedStream<K: SortKey> {
-    _catalog: Arc<RunCatalog<K>>,
-    inner: SortedInner<K>,
-    cascade: CascadeStats,
-}
-
-// One stream per sort: the variant size gap is irrelevant at this
-// allocation rate, and boxing would cost an indirection per batch.
-#[allow(clippy::large_enum_variant)]
-enum SortedInner<K: SortKey> {
-    Serial(BatchedMerge<K, MergeSource<K>>),
-    Partitioned(PartitionedMerge<K>),
-}
-
-impl<K: SortKey> SortedStream<K> {
-    /// Partitions the final merge runs across (1 when serial).
-    pub fn merge_partitions(&self) -> usize {
-        match &self.inner {
-            SortedInner::Serial(_) => 1,
-            SortedInner::Partitioned(m) => m.partitions(),
-        }
-    }
-
-    /// Per-partition row counters when the merge went parallel.
-    pub fn partition_counters(&self) -> Option<PartitionCounters> {
-        match &self.inner {
-            SortedInner::Serial(_) => None,
-            SortedInner::Partitioned(m) => Some(m.counters()),
-        }
-    }
-
-    /// Pass counters of the intermediate cascade merges that reduced the
-    /// run count to the fan-in (all zero when no reduction was needed).
-    pub fn cascade_stats(&self) -> CascadeStats {
-        self.cascade
-    }
-}
-
-impl<K: SortKey> Iterator for SortedStream<K> {
-    type Item = Result<Row<K>>;
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            SortedInner::Serial(tree) => tree.next(),
-            SortedInner::Partitioned(merge) => merge.next(),
-        }
+        final_merge(vec![(self.catalog, Vec::new())], &self.plan)
     }
 }
 

@@ -13,6 +13,9 @@
 //!   sources, plus multi-level merge planning with the paper's §4.1 top-k
 //!   merge policies (lowest-key runs first, early stop at `k` rows or at
 //!   the cutoff key).
+//! * [`final_merge()`] — the one final merge every external sort ends with:
+//!   cascade reduction, then a range-partitioned or offset-fast-skipping
+//!   serial merge over one or more run catalogs.
 //! * [`ExternalSorter`] — a complete external merge sort built from those
 //!   parts (the traditional baseline's engine).
 
@@ -22,11 +25,13 @@ pub mod budget;
 pub mod cascade;
 pub mod cmp_stats;
 pub mod external;
+pub mod final_merge;
 pub mod fold;
 pub mod heap;
 pub mod loser_tree;
 pub mod merge;
 pub mod observer;
+pub mod offset;
 pub mod partition;
 pub mod run_gen;
 pub mod source;
@@ -35,6 +40,7 @@ pub use budget::{row_footprint, BudgetHandle, MemoryBudget};
 pub use cascade::{plan_merges_cascade, plan_pass_groups, CascadeStats, SharedCutoff};
 pub use cmp_stats::{CmpSnapshot, CmpStats};
 pub use external::ExternalSorter;
+pub use final_merge::{final_merge, FinalMergePlan, MergePart, SortedStream};
 pub use fold::{FoldSnapshot, FoldSpec, FoldStats};
 pub use heap::BinaryHeapBy;
 pub use loser_tree::LoserTree;
@@ -44,9 +50,9 @@ pub use merge::{
     BatchedMerge, MergeConfig, MergePolicy, MergeSource, MergeTuning,
 };
 pub use observer::{NoopObserver, SpillObserver};
+pub use offset::{fast_skip_sources, RunPart, SkippedSources};
 pub use partition::{
-    merge_runs_partitioned, merge_sources_partitioned, plan_partitions, run_overlaps,
-    split_sorted_rows, PartitionAttempt, PartitionCounters, PartitionedMerge,
+    merge_runs_partitioned, PartitionAttempt, PartitionCounters, PartitionedMerge,
 };
 pub use run_gen::{BatchSort, LoadSortStore, ReplacementSelection, ResiduePolicy, RunGenerator};
 pub use source::{IterSource, RowSource, DEFAULT_BATCH_ROWS};

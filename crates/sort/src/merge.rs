@@ -69,6 +69,12 @@ impl MergeTuning {
         MergeTuning { ovc: false, ..MergeTuning::default() }
     }
 
+    /// Sets the shared comparison-counter sink every tree flushes into.
+    pub fn with_stats(mut self, stats: Option<CmpStats>) -> Self {
+        self.stats = stats;
+        self
+    }
+
     /// Overrides the per-input read-ahead depth.
     pub fn with_readahead(mut self, blocks: usize) -> Self {
         self.readahead_blocks = blocks;

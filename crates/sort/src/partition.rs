@@ -32,6 +32,7 @@ use histok_types::{Result, Row, RowBatch, SortKey, SortOrder};
 
 use crate::loser_tree::LoserTree;
 use crate::merge::{MergeSource, MergeTuning};
+use crate::offset::RunPart;
 
 /// Batches a worker may run ahead of the consumer (per partition). The
 /// consumer drains partitions strictly in range order, so this bound is
@@ -52,8 +53,8 @@ const CHANNEL_DEPTH: usize = 32;
 /// created. Callers should fall back to a serial merge when fewer than
 /// two ranges come back (tiny inputs, single-block runs, or an extreme
 /// key skew that leaves no distinct boundary to split on).
-pub fn plan_partitions<K: SortKey>(
-    runs: &[RunMeta<K>],
+pub(crate) fn plan_partitions<'a, K: SortKey + 'a>(
+    runs: impl IntoIterator<Item = &'a RunMeta<K>>,
     order: SortOrder,
     threads: usize,
     cutoff: Option<&K>,
@@ -122,7 +123,7 @@ pub fn plan_partitions<K: SortKey>(
 /// Splits rows already sorted in output order into per-range vectors
 /// (the run generator's in-memory residue joins its partition's merge).
 /// Rows past a final inclusive bound (the cutoff clip) are dropped.
-pub fn split_sorted_rows<K: SortKey>(
+pub(crate) fn split_sorted_rows<K: SortKey>(
     rows: Vec<Row<K>>,
     ranges: &[KeyRange<K>],
     order: SortOrder,
@@ -178,7 +179,11 @@ impl PartitionCounters {
 
 /// True if `meta`'s key span intersects `range` — non-overlapping runs
 /// are never opened for that partition.
-pub fn run_overlaps<K: SortKey>(meta: &RunMeta<K>, range: &KeyRange<K>, order: SortOrder) -> bool {
+pub(crate) fn run_overlaps<K: SortKey>(
+    meta: &RunMeta<K>,
+    range: &KeyRange<K>,
+    order: SortOrder,
+) -> bool {
     let (Some(first), Some(last)) = (&meta.first_key, &meta.last_key) else {
         return false;
     };
@@ -235,37 +240,45 @@ pub fn merge_runs_partitioned<K: SortKey>(
     if ranges.len() < 2 {
         return Ok(PartitionAttempt::Serial(residue));
     }
-    // Each residue sequence is sorted on its own; split each across the
-    // ranges and give every non-empty slice its own in-memory source.
-    let mut residue_parts: Vec<Vec<Vec<Row<K>>>> = (0..ranges.len()).map(|_| Vec::new()).collect();
-    for seq in residue {
-        for (i, part) in split_sorted_rows(seq, &ranges, order).into_iter().enumerate() {
-            if !part.is_empty() {
-                residue_parts[i].push(part);
-            }
-        }
-    }
-    let scheduler = tuning.io_scheduler.as_ref().map(|s| s.for_backend(catalog.backend()));
-    let mut partitions = Vec::with_capacity(ranges.len());
-    for (range, seqs) in ranges.iter().zip(residue_parts) {
-        let mut sources = Vec::new();
-        for meta in runs {
-            if !run_overlaps(meta, range, order) {
-                continue;
-            }
-            let reader = catalog.open_range(meta, range.clone())?;
-            sources.push(MergeSource::from_reader_scheduled(
-                reader,
-                tuning.readahead_blocks,
-                scheduler.clone(),
-            ));
-        }
-        for seq in seqs {
-            sources.push(MergeSource::Memory(seq.into_iter()));
-        }
-        partitions.push(sources);
-    }
+    let partitions = open_partitions(vec![(catalog, runs, residue)], &ranges, tuning)?;
     merge_sources_partitioned(partitions, order, tuning).map(PartitionAttempt::Partitioned)
+}
+
+/// Opens one source list per range over several `(catalog, runs,
+/// residue)` parts: range-scoped (prefetched) readers for every run that
+/// overlaps the range, plus each residue sequence's slice of it. Within a
+/// partition, sources follow the serial merge's order — part by part,
+/// each part's runs before its residue — so loser-tree tie-breaks agree.
+pub(crate) fn open_partitions<K: SortKey>(
+    parts: Vec<RunPart<'_, K>>,
+    ranges: &[KeyRange<K>],
+    tuning: &MergeTuning,
+) -> Result<Vec<Vec<MergeSource<K>>>> {
+    let mut partitions: Vec<Vec<MergeSource<K>>> = (0..ranges.len()).map(|_| Vec::new()).collect();
+    for (catalog, runs, residue) in parts {
+        let order = catalog.order();
+        let scheduler = tuning.io_scheduler.as_ref().map(|s| s.for_backend(catalog.backend()));
+        for (range, sources) in ranges.iter().zip(partitions.iter_mut()) {
+            for meta in runs.iter().filter(|meta| run_overlaps(meta, range, order)) {
+                let reader = catalog.open_range(meta, range.clone())?;
+                sources.push(MergeSource::from_reader_scheduled(
+                    reader,
+                    tuning.readahead_blocks,
+                    scheduler.clone(),
+                ));
+            }
+        }
+        // Each residue sequence is sorted on its own; split it across the
+        // ranges and give every non-empty slice its own in-memory source.
+        for seq in residue {
+            for (i, part) in split_sorted_rows(seq, ranges, order).into_iter().enumerate() {
+                if !part.is_empty() {
+                    partitions[i].push(MergeSource::Memory(part.into_iter()));
+                }
+            }
+        }
+    }
+    Ok(partitions)
 }
 
 /// Spawns one merge worker per source list (one per key range, in output
@@ -273,7 +286,7 @@ pub fn merge_runs_partitioned<K: SortKey>(
 /// loser tree — comparison counters flush into the shared `tuning.stats`
 /// handle when the tree drops, and the range-scoped readers book their
 /// I/O into the catalog's shared [`IoStats`](histok_storage::IoStats).
-pub fn merge_sources_partitioned<K: SortKey>(
+pub(crate) fn merge_sources_partitioned<K: SortKey>(
     partitions: Vec<Vec<MergeSource<K>>>,
     order: SortOrder,
     tuning: &MergeTuning,

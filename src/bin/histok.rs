@@ -17,29 +17,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use histok::core::{
-    HistogramTopK, InMemoryTopK, OperatorMetrics, OptimizedExternalTopK, SizingPolicy, TopKConfig,
-    TopKOperator, TraditionalExternalTopK,
+    HistogramTopK, InMemoryTopK, OperatorMetrics, OptimizedExternalTopK, ParallelTopK,
+    SizingPolicy, TopKConfig, TopKOperator, TraditionalExternalTopK,
 };
-use histok::types::Result as HResult;
-
-/// Adapter: `ParallelTopK::new` takes an owned backend; wrap the shared
-/// `Arc<dyn StorageBackend>` so it can be passed by value.
-struct ArcBackend(std::sync::Arc<dyn StorageBackend>);
-
-impl StorageBackend for ArcBackend {
-    fn create(&self, name: &str) -> HResult<Box<dyn histok::storage::SpillWriter>> {
-        self.0.create(name)
-    }
-    fn open(&self, name: &str) -> HResult<Box<dyn histok::storage::SpillReader>> {
-        self.0.open(name)
-    }
-    fn delete(&self, name: &str) -> HResult<()> {
-        self.0.delete(name)
-    }
-    fn size_of(&self, name: &str) -> HResult<u64> {
-        self.0.size_of(name)
-    }
-}
 use histok::storage::{FileBackend, MemoryBackend, StorageBackend};
 use histok::types::{F64Key, Result, SortSpec};
 use histok::workload::{Distribution, Workload};
@@ -147,19 +127,11 @@ fn make_operator(
     Ok(match algo {
         "histogram" => Box::new(HistogramTopK::with_arc(spec, config, backend)?),
         "inmemory" => Box::new(InMemoryTopK::new(spec)?),
-        "traditional" => {
-            Box::new(TraditionalExternalTopK::with_arc(spec, config.memory_budget, backend)?)
-        }
+        "traditional" => Box::new(TraditionalExternalTopK::with_config(spec, &config, backend)?),
         "optimized" => Box::new(OptimizedExternalTopK::with_arc(spec, config, backend)?),
         other => {
             if let Some(threads) = other.strip_prefix("parallel:").and_then(|t| t.parse().ok()) {
-                let be_clone = backend.clone();
-                return Ok(Box::new(histok::core::ParallelTopK::new(
-                    spec,
-                    config,
-                    ArcBackend(be_clone),
-                    threads,
-                )?));
+                return Ok(Box::new(ParallelTopK::with_arc(spec, config, backend, threads)?));
             }
             return Err(histok::types::Error::InvalidConfig(format!(
                 "unknown algorithm {other:?} (histogram|inmemory|traditional|optimized|parallel:<n>)"
